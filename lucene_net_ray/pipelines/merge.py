@@ -1100,6 +1100,12 @@ class _ShardedMergedReader:
                 per_actor.setdefault(i, []).append(t)
         if not per_actor:
             return
+        # a term fetched earlier without positions is fetched again whole:
+        # drop its cached parts so the straddle concatenation below starts
+        # empty instead of doubling its postings and df
+        for t in {t for ts in per_actor.values() for t in ts}:
+            for cache in (self._post, self._stats, self._pos):
+                cache.pop(t, None)
         futs = []
         for i, ts in per_actor.items():
             futs.append((i, ts, self._actors[i].postings_many.remote(ts),
