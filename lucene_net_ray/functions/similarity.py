@@ -11,10 +11,15 @@ Reference: /root/reference/src/Lucene.Net.Core/Search/Similarities/BM25Similarit
 All multiplies/divides happen in float32 (C# float arithmetic); we use numpy
 float32 ops at the same points so scores are bit-identical run to run and
 rank-identical to the reference.
+
+The classes here are the Similarity plug-ins of ``pipelines.scorer.SegmentScorer``
+(Search/Similarities/Similarity.cs): ``Similarity`` is the shared surface,
+``BM25`` the default, ``SimilarityBase`` the LM/DFR/IB pattern.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -73,3 +78,80 @@ def block_max_score(max_tf: np.ndarray, min_normb: np.ndarray, weight_value: np.
     tf32 = max_tf.astype(np.float32)
     c = cache[min_normb]
     return ((np.float32(weight_value) * tf32) / (tf32 + c)).astype(np.float32)
+
+
+class Similarity:
+    """The per-term math of ``SegmentScorer``; the query algebra is the
+    scorer's, the same for every similarity. A similarity provides
+
+      bind(stats)                  a copy reading one query's index-global stats
+      weight(terms, boost, qnorm)  the weight of a term, or of a phrase's or a
+                                   span's term set, times the query's queryNorm
+                                   where the similarity has one
+      score(weight, freqs, docids, reader)  float32 per-doc scores
+
+    and three optional hooks, None where the reference's value is 1 or
+    absent: ``query_norm(sum_sq)`` with ``norm_value(terms, boost)`` (the
+    squared weight it sums), ``coord(overlap, max_overlap)``, and the WAND
+    per-block upper bound ``block_bound(weight, max_tf, min_normb)``.
+    """
+
+    query_norm = coord = block_bound = None
+
+    def bind(self, stats: dict) -> "Similarity":
+        out = copy.copy(self)
+        out.stats = stats
+        return out
+
+
+class BM25(Similarity):
+    """BM25Similarity: queryNorm and coord are 1, so neither hook is defined;
+    the only similarity with a WAND bound."""
+
+    def __init__(self, k1: float = K1_DEFAULT, b: float = B_DEFAULT):
+        self.k1, self.b = np.float32(k1), np.float32(b)
+
+    def bind(self, stats: dict) -> "BM25":
+        out = super().bind(stats)
+        avgdl = avg_field_length(stats["sum_ttf"], stats["max_doc"])
+        out.cache = norm_cache(avgdl, self.k1, self.b)
+        return out
+
+    def weight(self, terms, boost: float = 1.0, qnorm=None) -> np.float32:
+        """idf * boost * (k1 + 1), idf summed in float32 over ``terms`` in
+        order (the IdfExplain loop). A lone term with df <= 0 weighs 0."""
+        df, n = self.stats["df"], self.stats["max_doc"]
+        if len(terms) == 1:
+            d = df.get(terms[0], 0)
+            if d <= 0:
+                return np.float32(0.0)
+            idf_sum = idf(d, n)
+        else:
+            idf_sum = np.float32(0.0)
+            for t in terms:
+                idf_sum = np.float32(idf_sum + idf(df.get(t, 0), n))
+        return term_weight_value(idf_sum, boost, self.k1)
+
+    def score(self, weight, freqs, docids, reader) -> np.ndarray:
+        return score_tf(freqs, reader.norms[docids], weight, self.cache)
+
+    def block_bound(self, weight, max_tf, min_normb) -> np.ndarray:
+        return block_max_score(max_tf, min_normb, weight, self.cache)
+
+
+class SimilarityBase(Similarity):
+    """SimilarityBase.cs pattern (LM, DFR, IB): queryNorm and coord are 1; a
+    term set scores as the float32 sum of its terms' scores
+    (MultiSimilarity). Subclasses define ``term_scores(term, freqs,
+    norm_bytes, boost)`` from ``self.stats``."""
+
+    def weight(self, terms, boost: float = 1.0, qnorm=None):
+        return boost, tuple(terms)
+
+    def score(self, weight, freqs, docids, reader) -> np.ndarray:
+        boost, terms = weight
+        nb = reader.norms[docids]
+        out = np.zeros(docids.size, dtype=np.float32)
+        for t in terms:
+            out = (out + self.term_scores(t, freqs, nb, boost)).astype(np.float32)
+        return out

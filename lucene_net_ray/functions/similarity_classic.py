@@ -9,9 +9,8 @@ Reference: /root/reference/src/Lucene.Net.Core/Search/Similarities/DefaultSimila
   per-term doc score = tf(d) * idf * (queryWeight * queryNorm) * norm(d)
   coord       = overlap / maxOverlap, multiplied into boolean sums
 
-Combination here is the simplified sum * coord (the reference's BS2 coordination
-nest is approximated; scores are cross-checked against our own oracle, and the
-point of this module is the Similarity EXTENSION surface — SURVEY.md §2.8).
+``Classic`` and ``SweetSpot`` are the SegmentScorer plug-ins (SURVEY.md §2.8):
+queryNorm is computed once per top-level query, coord per boolean.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import math
 import numpy as np
 
 from .norms import byte315_to_float
+from .similarity import Similarity
 
 # decoded lengthNorm per norm byte (float32 table, like TFIDF's NORM_TABLE)
 CLASSIC_NORM_TABLE = np.array([byte315_to_float(i) for i in range(256)], dtype=np.float32)
@@ -83,3 +83,56 @@ def sweetspot_hyperbolic_tf(
     out = out.astype(np.float32)
     out[tf == 0] = np.float32(0.0)
     return out
+
+
+class Classic(Similarity):
+    """DefaultSimilarity: score = tf(freq) * idf * (queryWeight * queryNorm)
+    * norm, with queryWeight = idf * boost and idf summed over a term set."""
+
+    def weight(self, terms, boost: float = 1.0, qnorm=None):
+        """(idf, queryWeight), the latter times ``qnorm`` when given."""
+        n, df = self.stats["max_doc"], self.stats["df"]
+        w_idf = np.float32(0.0)
+        for t in terms:
+            w_idf = np.float32(w_idf + classic_idf(df.get(t, 0), n))
+        qw = np.float32(w_idf * np.float32(boost))
+        return w_idf, qw if qnorm is None else np.float32(qw * qnorm)
+
+    def norm_value(self, terms, boost: float = 1.0) -> float:
+        qw = float(self.weight(terms, boost)[1])
+        return qw * qw
+
+    def query_norm(self, sum_sq: float) -> np.float32:
+        return query_norm(sum_sq)
+
+    coord = staticmethod(coord)
+
+    def tf(self, freqs):
+        return classic_tf(freqs)
+
+    def doc_norms(self, reader, docids):
+        return CLASSIC_NORM_TABLE[reader.norms[docids]]
+
+    def score(self, weight, freqs, docids, reader) -> np.ndarray:
+        w_idf, value = weight
+        return (self.tf(freqs) * w_idf * value * self.doc_norms(reader, docids)).astype(np.float32)
+
+
+class SweetSpot(Classic):
+    """SweetSpotSimilarity: Classic with a plateaued length norm from the
+    EXACT stored field_len (the reference quantizes through the norm byte;
+    documented deviation, strictly more precise) and a baseline or
+    hyperbolic tf."""
+
+    def __init__(self, ln_min=1, ln_max=1, steepness=0.5, tf_base=0.0, tf_min=0.0, hyperbolic=None):
+        self.ln_min, self.ln_max, self.steepness = ln_min, ln_max, steepness
+        self.tf_base, self.tf_min, self.hyperbolic = tf_base, tf_min, hyperbolic
+
+    def tf(self, freqs):
+        if self.hyperbolic is not None:
+            return sweetspot_hyperbolic_tf(freqs, **self.hyperbolic)
+        return sweetspot_baseline_tf(freqs, self.tf_base, self.tf_min)
+
+    def doc_norms(self, reader, docids):
+        lens = np.asarray(reader.doc_values("field_len"), dtype=np.float32)[docids]
+        return sweetspot_length_norm(lens, self.ln_min, self.ln_max, self.steepness)

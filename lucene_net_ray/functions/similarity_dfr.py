@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .norms import NORM_TABLE
+from .similarity import SimilarityBase
 
 LOG2 = np.log(2.0)
 
@@ -137,3 +138,27 @@ def ib_scores(
         raise ValueError(f"unknown distribution {distribution}")
     s = (np.float64(boost) * val).astype(np.float32)
     return np.maximum(s, np.float32(0.0))
+
+
+class DFR(SimilarityBase):
+    """DFRSimilarity; ``cfg`` holds dfr_scores' basic_model / after_effect /
+    normalization / c. Stats need per-term "df" and "ttf", max_doc, sum_ttf."""
+
+    formula = staticmethod(dfr_scores)
+
+    def __init__(self, **cfg):
+        self.cfg = cfg
+
+    def term_scores(self, term, freqs, norm_bytes, boost):
+        st = self.stats
+        return self.formula(
+            freqs, norm_bytes, df=st["df"].get(term, 0), ttf=st["ttf"].get(term, 0),
+            max_doc=st["max_doc"], avgdl=st["sum_ttf"] / st["max_doc"], boost=boost, **self.cfg,
+        )
+
+
+class IB(DFR):
+    """IBSimilarity; ``cfg`` holds ib_scores' distribution / lambda_model /
+    normalization / c."""
+
+    formula = staticmethod(ib_scores)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .norms import NORM_TABLE
+from .similarity import SimilarityBase
 
 DEFAULT_MU = 2000.0
 DEFAULT_LAMBDA = 0.1
@@ -48,3 +49,25 @@ def lm_jelinek_mercer_scores(
         ((1.0 - lam) * tfs.astype(np.float64) / dl) / (lam * p_c)
     ).astype(np.float32)
     return np.maximum(s, np.float32(0.0)).astype(np.float32)
+
+
+class LMDirichlet(SimilarityBase):
+    """LMDirichletSimilarity; stats need "sum_ttf" and per-term "ttf"."""
+
+    def __init__(self, mu: float = DEFAULT_MU):
+        self.mu = mu
+
+    def term_scores(self, term, freqs, norm_bytes, boost):
+        ttf = self.stats["ttf"].get(term, 0)
+        return lm_dirichlet_scores(freqs, norm_bytes, ttf, self.stats["sum_ttf"], boost, self.mu)
+
+
+class LMJelinekMercer(SimilarityBase):
+    """LMJelinekMercerSimilarity; stats need "sum_ttf" and per-term "ttf"."""
+
+    def __init__(self, lam: float = DEFAULT_LAMBDA):
+        self.lam = lam
+
+    def term_scores(self, term, freqs, norm_bytes, boost):
+        ttf = self.stats["ttf"].get(term, 0)
+        return lm_jelinek_mercer_scores(freqs, norm_bytes, ttf, self.stats["sum_ttf"], boost, self.lam)

@@ -9,7 +9,7 @@ algebra combines matches in the shared docID space.
 Here each field gets its own index under ``{out}/fields/{field}`` built from
 the SAME deterministic shard plan, so local/global docIDs line up across
 fields by construction. ``MultiFieldSegmentScorer`` dispatches every leaf
-clause (term/phrase/expansion) to its field's reader + per-field BM25 cache;
+clause (term/phrase/expansion) to its field's reader, stats and similarity;
 the combination logic is inherited unchanged from SegmentScorer. Per-field
 analyzers (PerFieldAnalyzerWrapper analog) are a dict field -> analyzer kind.
 """
@@ -20,12 +20,22 @@ import os
 
 import numpy as np
 
-from ..functions import similarity as sim
-from ..query import Query
+from ..query import (
+    FuzzyQuery,
+    PhraseQuery,
+    PrefixQuery,
+    Query,
+    RegexpQuery,
+    TermQuery,
+    TermRangeQuery,
+    WildcardQuery,
+)
 from ..state.index import IndexMeta
 from ..state.segment import SegmentReader
 from .scorer import SegmentScorer, expand_multiterm, query_terms
 from .search import merge_top_docs
+
+_FIELD_LEAVES = (TermQuery, PrefixQuery, TermRangeQuery, WildcardQuery, FuzzyQuery, PhraseQuery, RegexpQuery)
 
 
 def build_multi_field_index(
@@ -59,66 +69,36 @@ def build_multi_field_index(
 class MultiFieldSegmentScorer(SegmentScorer):
     """SegmentScorer whose leaf evaluations dispatch on the clause's field."""
 
-    def __init__(self, readers: dict[str, SegmentReader], stats: dict, k1=1.2, b=0.75):
+    def __init__(self, readers: dict[str, SegmentReader], stats: dict):
         """stats: {"fields": {field: {max_doc, sum_ttf, df:{term:df}}}}."""
         self._readers = readers
         self._field_stats = stats["fields"]
         default_field = next(iter(readers))
-        super().__init__(readers[default_field], stats["fields"][default_field], k1, b)
-        self._caches = {
-            f: sim.norm_cache(
-                sim.avg_field_length(fs["sum_ttf"], fs["max_doc"]), self.k1, self.b
-            )
-            for f, fs in self._field_stats.items()
-        }
-
-    def _ctx(self, field: str):
-        if field not in self._readers:
-            return None
-        return self._readers[field], self._field_stats[field], self._caches[field]
+        super().__init__(readers[default_field], stats["fields"][default_field])
+        self._sims = {f: self.sim.bind(fs) for f, fs in self._field_stats.items()}
 
     def score_term(self, q):
-        ctx = self._ctx(q.field)
-        if ctx is None:
+        if self.stats["df"].get(q.term, 0) <= 0:  # absent from its field
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-        reader, stats, cache = ctx
-        docids, tfs = reader.postings(q.term)
-        if docids.size == 0:
-            return docids, np.empty(0, dtype=np.float32)
-        df = stats["df"].get(q.term, 0)
-        if df <= 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-        w = sim.term_weight_value(sim.idf(df, stats["max_doc"]), q.boost, self.k1)
-        scores = sim.score_tf(tfs, reader.norms[docids], w, cache)
-        return docids, scores
+        return super().score_term(q)
 
     def evaluate(self, q: Query):
-        from ..query import (
-            FuzzyQuery,
-            PhraseQuery,
-            PrefixQuery,
-            RegexpQuery,
-            TermRangeQuery,
-            WildcardQuery,
+        if not isinstance(q, _FIELD_LEAVES):
+            return super().evaluate(q)
+        if q.field not in self._readers:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
+        # focus the inherited leaf logic on this field's reader, stats and
+        # similarity (bound to the field's avgdl)
+        saved = (self.reader, self.stats, self.sim)
+        self.reader, self.stats, self.sim = (
+            self._readers[q.field], self._field_stats[q.field], self._sims[q.field]
         )
-
-        if isinstance(q, (PrefixQuery, TermRangeQuery, WildcardQuery, FuzzyQuery, PhraseQuery, RegexpQuery)):
-            ctx = self._ctx(q.field)
-            if ctx is None:
-                return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-            reader, stats, cache = ctx
-            # temporarily focus the inherited leaf logic on this field
-            saved = (self.reader, self.stats, self.cache)
-            self.reader, self.stats, self.cache = reader, stats, cache
-            try:
-                return super().evaluate(q)
-            finally:
-                self.reader, self.stats, self.cache = saved
-        return super().evaluate(q)
+        try:
+            return super().evaluate(q)
+        finally:
+            self.reader, self.stats, self.sim = saved
 
     def _cost(self, q):
-        from ..query import TermQuery
-
         if isinstance(q, TermQuery):
             fs = self._field_stats.get(q.field)
             return fs["df"].get(q.term, 0) if fs else 0

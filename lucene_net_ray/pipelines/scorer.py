@@ -1,4 +1,5 @@
-"""Per-segment query evaluation: vectorized BM25 scoring over decoded postings.
+"""Per-segment query evaluation: vectorized scoring over decoded postings,
+BM25 by default, any Similarity plug-in (functions/similarity*.py) otherwise.
 
 Replicates the reference's scorer algebra (SURVEY.md §2.6) with numpy set ops
 instead of doc-at-a-time iterators:
@@ -14,7 +15,8 @@ instead of doc-at-a-time iterators:
                       scoring with distance boosts for fuzzy)
 
 Scores are float32 at exactly the reference's rounding points (similarity.py),
-so per-doc scores are identical to a doc-at-a-time evaluation.
+so per-doc scores are identical to a doc-at-a-time evaluation. Classic's
+queryNorm and coord hooks apply per top-level query and per boolean.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import re
 
 import numpy as np
 
-from ..functions import similarity as sim
 from ..functions.lev_automaton import LevenshteinDFA
+from ..functions.similarity import BM25, Similarity
 from ..query import (
     BooleanClause,
     BooleanQuery,
@@ -59,279 +61,6 @@ from ..state.segment import SegmentReader
 #                 decode+score wins). mode="wand" still forces any shape.
 WAND_MIN_DF = 500_000       # single-term queries
 WAND_MIN_OR_DF = 10_000_000  # 2-term disjunctions (summed df)
-
-
-class ClassicSegmentScorer:
-    """TF-IDF (DefaultSimilarity) scorer — the Similarity extension surface.
-
-    Supports TermQuery and flat BooleanQuery of term clauses (MUST / SHOULD /
-    MUST_NOT, minShouldMatch) with queryNorm + coord; see
-    functions/similarity_classic.py for formula provenance.
-    """
-
-    def __init__(self, reader: SegmentReader, global_stats: dict):
-        from ..functions import similarity_classic as cs
-
-        self.cs = cs
-        self.reader = reader
-        self.stats = global_stats
-
-    # Similarity extension hooks (SweetSpotSimilarity overrides both)
-    def _tf(self, tfs: np.ndarray) -> np.ndarray:
-        return self.cs.classic_tf(tfs)
-
-    def _doc_norms(self) -> np.ndarray:
-        return self.cs.CLASSIC_NORM_TABLE[self.reader.norms]
-
-    def _flat_terms(self, q: Query) -> tuple[list[tuple[str, float, str]], int]:
-        if isinstance(q, TermQuery):
-            return [(q.term, q.boost, "SHOULD")], 0
-        if isinstance(q, BooleanQuery):
-            out = []
-            for c in q.clauses:
-                if not isinstance(c.query, TermQuery):
-                    raise NotImplementedError("classic scorer supports flat term clauses")
-                out.append((c.query.term, c.query.boost, c.occur))
-            return out, q.min_should_match
-        raise NotImplementedError(f"classic scorer: {type(q).__name__}")
-
-    def evaluate(self, q: Query) -> tuple[np.ndarray, np.ndarray]:
-        cs = self.cs
-        clauses, msm = self._flat_terms(q)
-        n = self.stats["max_doc"]
-        scoring = [(t, b) for t, b, occ in clauses if occ != "MUST_NOT"]
-        # queryNorm over all scoring clauses' squared weights
-        ssw = 0.0
-        weights = {}
-        for t, b in scoring:
-            idf = cs.classic_idf(self.stats["df"].get(t, 0), n)
-            qw = np.float32(idf * np.float32(b))
-            weights[(t, b)] = (idf, qw)
-            ssw += float(qw) * float(qw)
-        qn = cs.query_norm(ssw)
-        norms = self._doc_norms()
-
-        musts = [(t, b) for t, b, occ in clauses if occ == "MUST"]
-        shoulds = [(t, b) for t, b, occ in clauses if occ == "SHOULD"]
-        nots = [t for t, b, occ in clauses if occ == "MUST_NOT"]
-
-        def term_scores(t, b):
-            docids, tfs = self.reader.postings(t)
-            if docids.size == 0:
-                return docids, np.empty(0, dtype=np.float32)
-            idf, qw = weights[(t, b)]
-            value = np.float32(qw * qn)
-            s = (self._tf(tfs) * np.float32(idf) * value * norms[docids]).astype(np.float32)
-            return docids, s
-
-        evals = {key: term_scores(*key) for key in set(musts + shoulds)}
-        req = None
-        if musts:
-            req = evals[musts[0]][0]
-            for key in musts[1:]:
-                req = _intersect_sorted(req, evals[key][0])
-        union_src = [evals[k][0] for k in set(musts + shoulds)]
-        docs = np.unique(np.concatenate(union_src)) if union_src else np.empty(0, dtype=np.int64)
-        if req is not None:
-            docs = _intersect_sorted(docs, req)
-        acc = np.zeros(docs.size, dtype=np.float64)
-        matched = np.zeros(docs.size, dtype=np.int64)
-        for key in musts + shoulds:
-            d, s = evals[key]
-            if d.size == 0:
-                continue
-            ix = np.searchsorted(docs, d)
-            valid = (ix < docs.size) & (docs[np.minimum(ix, max(docs.size - 1, 0))] == d) if docs.size else np.zeros(d.size, bool)
-            np.add.at(acc, ix[valid], s[valid].astype(np.float64))
-            np.add.at(matched, ix[valid], 1)
-        if msm > 0 and shoulds:
-            should_matched = np.zeros(docs.size, dtype=np.int64)
-            for key in shoulds:
-                d, s = evals[key]
-                ix = np.searchsorted(docs, d)
-                valid = (ix < docs.size) & (docs[np.minimum(ix, max(docs.size - 1, 0))] == d) if docs.size else np.zeros(d.size, bool)
-                np.add.at(should_matched, ix[valid], 1)
-            keep = should_matched >= msm
-            docs, acc, matched = docs[keep], acc[keep], matched[keep]
-        scores = (acc.astype(np.float32) * self.cs.coord(matched, len(scoring))).astype(np.float32)
-        for t in nots:
-            nd, _ = self.reader.postings(t)
-            if nd.size and docs.size:
-                keep = ~np.isin(docs, nd, assume_unique=True)
-                docs, scores = docs[keep], scores[keep]
-        return docs, scores
-
-    def top_k(self, q: Query, k: int) -> list[tuple[int, float]]:
-        docs, scores = self.evaluate(q)
-        if docs.size == 0:
-            return []
-        order = np.lexsort((docs, -scores))[:k]
-        return [(int(docs[i]) + self.reader.doc_base, float(scores[i])) for i in order]
-
-
-class SweetSpotSegmentScorer(ClassicSegmentScorer):
-    """SweetSpotSimilarity (reference Misc/SweetSpotSimilarity.cs): classic
-    TF-IDF with a plateaued length norm ([ln_min, ln_max] scores as length 1,
-    falloff controlled by steepness) and a baseline or hyperbolic tf. Norms
-    come from the EXACT stored field_len (the reference quantizes through the
-    norm byte; documented deviation, strictly more precise)."""
-
-    def __init__(
-        self,
-        reader: SegmentReader,
-        global_stats: dict,
-        *,
-        ln_min: int = 1,
-        ln_max: int = 1,
-        steepness: float = 0.5,
-        tf_base: float = 0.0,
-        tf_min: float = 0.0,
-        hyperbolic: dict | None = None,
-    ):
-        super().__init__(reader, global_stats)
-        self.ln_min, self.ln_max, self.steepness = ln_min, ln_max, steepness
-        self.tf_base, self.tf_min = tf_base, tf_min
-        self.hyperbolic = hyperbolic
-
-    def _tf(self, tfs: np.ndarray) -> np.ndarray:
-        if self.hyperbolic is not None:
-            return self.cs.sweetspot_hyperbolic_tf(tfs, **self.hyperbolic)
-        return self.cs.sweetspot_baseline_tf(tfs, self.tf_base, self.tf_min)
-
-    def _doc_norms(self) -> np.ndarray:
-        lens = self.reader.doc_values("field_len")
-        return self.cs.sweetspot_length_norm(
-            np.asarray(lens, dtype=np.float32), self.ln_min, self.ln_max, self.steepness
-        )
-
-
-class LMSegmentScorer:
-    """Language-model similarities (LM-Dirichlet / LM-Jelinek-Mercer) through
-    the Similarity extension seam — same index, same norms, different SimScorer
-    (reference Similarities/LMDirichletSimilarity.cs, LMJelinekMercerSimilarity.cs).
-
-    Supports TermQuery and flat BooleanQuery of term clauses; scores sum like
-    the BM25 path (queryNorm/coord are 1 for SimilarityBase subclasses).
-    global_stats needs "max_doc", "sum_ttf" and per-term "ttf" (not df).
-    """
-
-    def __init__(
-        self,
-        reader: SegmentReader,
-        global_stats: dict,
-        *,
-        model: str = "dirichlet",
-        mu: float = 2000.0,
-        lam: float = 0.1,
-    ):
-        from ..functions import similarity_lm as lm
-
-        if model not in ("dirichlet", "jelinek_mercer"):
-            raise ValueError(model)
-        self.lm = lm
-        self.reader = reader
-        self.stats = global_stats
-        self.model = model
-        self.mu = mu
-        self.lam = lam
-
-    def score_term(self, term: str, boost: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-        docids, tfs = self.reader.postings(term)
-        if docids.size == 0:
-            return docids, np.empty(0, dtype=np.float32)
-        ttf = self.stats["ttf"].get(term, 0)
-        nb = self.reader.norms[docids]
-        if self.model == "dirichlet":
-            s = self.lm.lm_dirichlet_scores(tfs, nb, ttf, self.stats["sum_ttf"], boost, self.mu)
-        else:
-            s = self.lm.lm_jelinek_mercer_scores(tfs, nb, ttf, self.stats["sum_ttf"], boost, self.lam)
-        return docids, s
-
-    def evaluate(self, q: Query) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(q, TermQuery):
-            return self.score_term(q.term, q.boost)
-        if isinstance(q, BooleanQuery):
-            musts = [c.query for c in q.clauses if c.occur == "MUST"]
-            shoulds = [c.query for c in q.clauses if c.occur == "SHOULD"]
-            nots = [c.query for c in q.clauses if c.occur == "MUST_NOT"]
-            evals = [self.evaluate(c) for c in musts + shoulds]
-            if not evals:
-                return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-            docs = np.unique(np.concatenate([d for d, _ in evals]))
-            if musts:
-                for d, _ in evals[: len(musts)]:
-                    docs = _intersect_sorted(docs, d)
-            acc = np.zeros(docs.size, dtype=np.float64)
-            for d, s in evals:
-                ix = np.searchsorted(docs, d)
-                valid = (ix < docs.size) & (docs[np.minimum(ix, max(docs.size - 1, 0))] == d) if docs.size else np.zeros(d.size, bool)
-                np.add.at(acc, ix[valid], s[valid].astype(np.float64))
-            scores = acc.astype(np.float32)
-            for nq in nots:
-                nd, _ = self.evaluate(nq)
-                if nd.size and docs.size:
-                    keep = ~np.isin(docs, nd, assume_unique=True)
-                    docs, scores = docs[keep], scores[keep]
-            return docs, scores
-        raise NotImplementedError(f"LM scorer: {type(q).__name__}")
-
-    def top_k(self, q: Query, k: int) -> list[tuple[int, float]]:
-        docs, scores = self.evaluate(q)
-        if docs.size == 0:
-            return []
-        order = np.lexsort((docs, -scores))[:k]
-        return [(int(docs[i]) + self.reader.doc_base, float(scores[i])) for i in order]
-
-
-class DFRSegmentScorer(LMSegmentScorer):
-    """DFR similarity (reference Similarities/DFRSimilarity.cs) reusing the
-    LM scorer's boolean algebra. global_stats needs per-term "df" AND "ttf"
-    maps plus max_doc/sum_ttf."""
-
-    def __init__(self, reader: SegmentReader, global_stats: dict, **cfg):
-        from ..functions import similarity_dfr as dfr
-
-        self.dfr = dfr
-        self.reader = reader
-        self.stats = global_stats
-        self.cfg = cfg
-        self.avgdl = global_stats["sum_ttf"] / global_stats["max_doc"]
-
-    def score_term(self, term: str, boost: float = 1.0):
-        docids, tfs = self.reader.postings(term)
-        if docids.size == 0:
-            return docids, np.empty(0, dtype=np.float32)
-        s = self.dfr.dfr_scores(
-            tfs,
-            self.reader.norms[docids],
-            df=self.stats["df"].get(term, 0),
-            ttf=self.stats["ttf"].get(term, 0),
-            max_doc=self.stats["max_doc"],
-            avgdl=self.avgdl,
-            boost=boost,
-            **self.cfg,
-        )
-        return docids, s
-
-
-class IBSegmentScorer(DFRSegmentScorer):
-    """Information-based similarity (reference Similarities/IBSimilarity.cs)."""
-
-    def score_term(self, term: str, boost: float = 1.0):
-        docids, tfs = self.reader.postings(term)
-        if docids.size == 0:
-            return docids, np.empty(0, dtype=np.float32)
-        s = self.dfr.ib_scores(
-            tfs,
-            self.reader.norms[docids],
-            df=self.stats["df"].get(term, 0),
-            ttf=self.stats["ttf"].get(term, 0),
-            max_doc=self.stats["max_doc"],
-            avgdl=self.avgdl,
-            boost=boost,
-            **self.cfg,
-        )
-        return docids, s
 
 
 def query_terms(q: Query) -> set[str]:
@@ -780,43 +509,65 @@ def _sloppy_phrase_freq(plists: list[list[int]], slop: int) -> float:
 
 
 class SegmentScorer:
-    """Evaluates a query tree against one segment with index-global stats."""
+    """Evaluates a query tree against one segment with index-global stats.
 
-    def __init__(
-        self,
-        reader: SegmentReader,
-        global_stats: dict,
-        k1: float = 1.2,
-        b: float = 0.75,
-    ):
-        """global_stats: {"max_doc": N, "sum_ttf": S, "df": {term: global df}}."""
+    ``similarity`` (functions/similarity*.py) supplies the per-term math;
+    every similarity runs through this one query algebra."""
+
+    def __init__(self, reader: SegmentReader, global_stats: dict, similarity: Similarity = BM25()):
+        """global_stats: {"max_doc": N, "sum_ttf": S, "df": {term: global df}},
+        plus {"ttf": {term: total term freq}} for the LM/DFR/IB similarities."""
         self.reader = reader
         self.stats = global_stats
-        self.k1 = np.float32(k1)
-        self.b = np.float32(b)
-        avgdl = sim.avg_field_length(global_stats["sum_ttf"], global_stats["max_doc"])
-        self.avgdl = avgdl
-        self.cache = sim.norm_cache(avgdl, self.k1, self.b)
+        self.sim = similarity.bind(global_stats)
+        self._qn = None  # queryNorm of the top-level query being evaluated
 
     # -- term-level ---------------------------------------------------------
-    def _term_weight(self, term: str, boost: float) -> np.float32:
-        df = self.stats["df"].get(term, 0)
-        if df <= 0:
-            return np.float32(0.0)
-        return sim.term_weight_value(sim.idf(df, self.stats["max_doc"]), boost, self.k1)
-
     def score_term(self, q: TermQuery) -> tuple[np.ndarray, np.ndarray]:
         """(local docids sorted, float32 scores) for one term clause."""
         docids, tfs = self.reader.postings(q.term)
         if docids.size == 0:
             return docids, np.empty(0, dtype=np.float32)
-        w = self._term_weight(q.term, q.boost)
-        scores = sim.score_tf(tfs, self.reader.norms[docids], w, self.cache)
-        return docids, scores
+        w = self.sim.weight((q.term,), q.boost, self._qn)
+        return docids, self.sim.score(w, tfs, docids, self.reader)
 
     # -- tree evaluation ----------------------------------------------------
     def evaluate(self, q: Query) -> tuple[np.ndarray, np.ndarray]:
         """(local docids sorted asc, float32 scores)."""
+        if self.sim.query_norm is None or self._qn is not None:
+            return self._evaluate(q)
+        # one queryNorm per top-level query (IndexSearcher.CreateNormalizedWeight)
+        self._qn = self.sim.query_norm(self._norm_sum(q))
+        try:
+            return self._evaluate(q)
+        finally:
+            self._qn = None
+
+    def _norm_sum(self, q: Query) -> float:
+        """Sum of squared query weights under ``q`` (getValueForNormalization):
+        a boolean adds its non-prohibited clauses, a DisMax its max plus
+        tie^2 times the rest, each times boost^2; constant-score and
+        multi-term leaves add nothing."""
+        if isinstance(q, TermQuery):
+            return self.sim.norm_value((q.term,), q.boost)
+        if isinstance(q, PhraseQuery):
+            return self.sim.norm_value(q.terms, q.boost)
+        if isinstance(q, MultiPhraseQuery):
+            return self.sim.norm_value([t for ts in q.positions_terms for t in ts], q.boost)
+        if isinstance(q, FilteredQuery):  # the engine applies neither wrapper's boost
+            return self._norm_sum(q.query)
+        if isinstance(q, BoostingQuery):
+            return self._norm_sum(q.match)
+        if isinstance(q, BooleanQuery):
+            total = sum(self._norm_sum(c.query) for c in q.clauses if c.occur != "MUST_NOT")
+        elif isinstance(q, DisjunctionMaxQuery) and q.disjuncts:
+            subs = [self._norm_sum(d) for d in q.disjuncts]
+            total = max(subs) + (sum(subs) - max(subs)) * q.tie_breaker * q.tie_breaker
+        else:
+            return 0.0
+        return total * q.boost * q.boost
+
+    def _evaluate(self, q: Query) -> tuple[np.ndarray, np.ndarray]:
         if isinstance(q, TermQuery):
             return self.score_term(q)
         if isinstance(q, MatchAllDocsQuery):
@@ -860,10 +611,8 @@ class SegmentScorer:
                     scores = scores.copy()
                     scores[demoted] = (scores[demoted] * np.float32(q.demote)).astype(np.float32)
             return docs, scores
-        if isinstance(q, PhraseQuery):
+        if isinstance(q, (PhraseQuery, MultiPhraseQuery)):
             return self._evaluate_phrase(q)
-        if isinstance(q, MultiPhraseQuery):
-            return self._evaluate_multi_phrase(q)
         if isinstance(q, DisjunctionMaxQuery):
             return self._evaluate_dismax(q)
         if isinstance(q, BooleanQuery):
@@ -963,43 +712,6 @@ class SegmentScorer:
         winners.sort()
         return winners
 
-    def _evaluate_phrase(self, q: PhraseQuery) -> tuple[np.ndarray, np.ndarray]:
-        """ExactPhraseScorer: positions must align with the query's analyzed
-        position pattern; tf = phrase frequency; weight = f32-summed idfs.
-        slop>0 delegates to the SloppyPhraseScorer port."""
-        if q.slop != 0:
-            return self._evaluate_sloppy_phrase(q)
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
-        if not q.terms:
-            return empty
-        qpos = q.term_positions()
-        qmax = max(qpos)
-        # per-term (docid, adjusted position) keys; anchor = pos - qpos_i
-        SHIFT = np.int64(1) << np.int64(32)
-        keysets = []
-        for t, p in zip(q.terms, qpos):
-            if self.stats["df"].get(t, 0) == 0:
-                return empty
-            docids, tfs, flat, occ = self.reader.positions(t)
-            if docids.size == 0:
-                return empty
-            doc_per_occ = np.repeat(docids, tfs)
-            adj = flat - p + qmax  # keep non-negative
-            keysets.append(doc_per_occ * SHIFT + adj)
-        common = keysets[0]
-        for ks in keysets[1:]:
-            common = _intersect_sorted(common, ks)
-        if common.size == 0:
-            return empty
-        docs, freqs = np.unique(common // SHIFT, return_counts=True)
-        # weight: f32 sequential sum of idfs in term order (IdfExplain loop)
-        idf_sum = np.float32(0.0)
-        for t in q.terms:
-            idf_sum = np.float32(idf_sum + sim.idf(self.stats["df"][t], self.stats["max_doc"]))
-        w = np.float32(np.float32(idf_sum * np.float32(q.boost)) * (self.k1 + np.float32(1.0)))
-        scores = sim.score_tf(freqs.astype(np.int64), self.reader.norms[docs], w, self.cache)
-        return docs.astype(np.int64), scores
-
     @staticmethod
     def _union_postings_keys(plist):
         """Merge several terms' positions postings into one
@@ -1010,46 +722,39 @@ class SegmentScorer:
         keys = []
         for docids, tfs, flat, occ in plist:
             keys.append(np.repeat(docids, tfs) * SHIFT + flat)
-        u = np.unique(np.concatenate(keys)) if len(keys) > 1 else np.sort(keys[0])
+        u = np.unique(np.concatenate(keys))
         docs = u // SHIFT
         pos = u % SHIFT
         docids, tfs = np.unique(docs, return_counts=True)
         occ = np.concatenate(([0], np.cumsum(tfs)))
         return docids, tfs, pos, occ
 
-    def _evaluate_multi_phrase(self, q) -> tuple[np.ndarray, np.ndarray]:
-        """MultiPhraseQuery: per-position union of term postings
-        (UnionDocsAndPositionsEnum analog, MultiPhraseQuery.cs:521), then the
-        exact-phrase intersection (slop=0) or the SloppyPhraseScorer sweep
-        with each union treated as one pseudo-term slot (slots with
-        identical term SETS route through the repeating-terms path)."""
+    def _evaluate_phrase(self, q) -> tuple[np.ndarray, np.ndarray]:
+        """PhraseQuery and MultiPhraseQuery; a phrase is a multi-phrase with
+        one term per position. Each position takes the union of its terms'
+        postings (UnionDocsAndPositionsEnum analog, MultiPhraseQuery.cs:521)
+        without df=0 terms, so a phrase with a df=0 term matches nothing.
+        slop=0 intersects aligned positions (ExactPhraseScorer); slop>0 runs
+        the SloppyPhraseScorer sweep with each position one pseudo-term,
+        positions with identical term SETS taking the repeating-terms path.
+        tf = phrase frequency; weight = the similarity's weight of EVERY term
+        in declaration order (MultiPhraseWeight: df=0 terms included)."""
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
-        if not q.positions_terms:
+        slot_terms = [(t,) for t in q.terms] if isinstance(q, PhraseQuery) else q.positions_terms
+        if not slot_terms:
             return empty
         qpos = q.term_positions()
-        all_terms = [t for terms in q.positions_terms for t in terms]
         slot_posts = []
-        for terms in q.positions_terms:
-            plist = []
-            for t in terms:
-                if self.stats["df"].get(t, 0) == 0:
-                    continue
-                post = self.reader.positions(t)
-                if post[0].size:
-                    plist.append(post)
+        for terms in slot_terms:
+            plist = [self.reader.positions(t) for t in terms if self.stats["df"].get(t, 0) != 0]
+            plist = [post for post in plist if post[0].size]
             if not plist:
                 return empty  # a position no term can fill: no phrase match
-            slot_posts.append(self._union_postings_keys(plist))
-        # MultiPhraseWeight: f32-summed idf of EVERY term in declaration
-        # order, df=0 terms included
-        idf_sum = np.float32(0.0)
-        for t in all_terms:
-            idf_sum = np.float32(
-                idf_sum + sim.idf(self.stats["df"].get(t, 0), self.stats["max_doc"])
-            )
-        w = np.float32(np.float32(idf_sum * np.float32(q.boost)) * (self.k1 + np.float32(1.0)))
+            slot_posts.append(plist[0] if len(plist) == 1 else self._union_postings_keys(plist))
+        w = self.sim.weight([t for terms in slot_terms for t in terms], q.boost, self._qn)
         SHIFT = np.int64(1) << np.int64(32)
         if q.slop == 0:
+            # per-slot (docid, adjusted position) keys; anchor = pos - qpos_i
             qmax = max(qpos)
             keysets = []
             for (docids, tfs, flat, occ), p in zip(slot_posts, qpos):
@@ -1061,11 +766,11 @@ class SegmentScorer:
             if common.size == 0:
                 return empty
             docs, freqs = np.unique(common // SHIFT, return_counts=True)
-            scores = sim.score_tf(freqs.astype(np.int64), self.reader.norms[docs], w, self.cache)
-            return docs.astype(np.int64), scores
+            docs = docs.astype(np.int64)
+            return docs, self.sim.score(w, freqs, docs, self.reader)
         # sloppy: pseudo-term per slot, named by its term set so identical
         # sets are recognized as repeats
-        names = ["|".join(sorted(terms)) for terms in q.positions_terms]
+        names = ["|".join(sorted(terms)) for terms in slot_terms]
         has_rpts = len(set(names)) != len(names)
         common = slot_posts[0][0]
         for docids, *_ in slot_posts[1:]:
@@ -1089,59 +794,7 @@ class SegmentScorer:
             return empty
         docs = np.array(out_docs, dtype=np.int64)
         freqs = np.array(out_freqs, dtype=np.float32)
-        c = self.cache[self.reader.norms[docs]]
-        scores = ((np.float32(w) * freqs) / (freqs + c)).astype(np.float32)
-        return docs, scores
-
-    def _evaluate_sloppy_phrase(self, q: PhraseQuery) -> tuple[np.ndarray, np.ndarray]:
-        """SloppyPhraseScorer port (non-repeating terms): min-window sweep via
-        a priority queue, phrase freq = f32 sum of 1/(matchLength+1) per match
-        (/root/reference/src/Lucene.Net.Core/Search/SloppyPhraseScorer.cs:102-146,
-        SloppyFreq = 1/(distance+1), BM25Similarity.cs:75).
-        """
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
-        if not q.terms:
-            return empty
-        has_rpts = len(set(q.terms)) != len(q.terms)
-        qpos = q.term_positions()
-        postings_by_term: dict[str, tuple] = {}
-        for t in set(q.terms):
-            if self.stats["df"].get(t, 0) == 0:
-                return empty
-            docids, tfs, flat, occ = self.reader.positions(t)
-            if docids.size == 0:
-                return empty
-            postings_by_term[t] = (docids, tfs, flat, occ)
-        per_slot = [(postings_by_term[t], t, p) for t, p in zip(q.terms, qpos)]
-        common = per_slot[0][0][0]
-        for (d, *_), _t, _p in per_slot[1:]:
-            common = _intersect_sorted(common, d)
-        if common.size == 0:
-            return empty
-        out_docs, out_freqs = [], []
-        for doc in common.tolist():
-            slots = []
-            for (docids, tfs, flat, occ), t, p in per_slot:
-                j = int(np.searchsorted(docids, doc))
-                slots.append(((flat[occ[j] : occ[j + 1]] - p).tolist(), p, t))
-            if has_rpts:
-                f = _sloppy_phrase_freq_rpts(slots, q.slop)
-            else:
-                f = _sloppy_phrase_freq([pl for pl, _p, _t in slots], q.slop)
-            if f > 0:
-                out_docs.append(doc)
-                out_freqs.append(f)
-        if not out_docs:
-            return empty
-        docs = np.array(out_docs, dtype=np.int64)
-        freqs = np.array(out_freqs, dtype=np.float32)
-        idf_sum = np.float32(0.0)
-        for t in q.terms:
-            idf_sum = np.float32(idf_sum + sim.idf(self.stats["df"][t], self.stats["max_doc"]))
-        w = np.float32(np.float32(idf_sum * np.float32(q.boost)) * (self.k1 + np.float32(1.0)))
-        c = self.cache[self.reader.norms[docs]]
-        scores = ((np.float32(w) * freqs) / (freqs + c)).astype(np.float32)
-        return docs, scores
+        return docs, self.sim.score(w, freqs, docs, self.reader)
 
     def _evaluate_dismax(self, q: DisjunctionMaxQuery) -> tuple[np.ndarray, np.ndarray]:
         """DisjunctionMaxScorer: max + tieBreaker * (sum - max) per doc."""
@@ -1229,6 +882,15 @@ class SegmentScorer:
         else:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
 
+        if self.sim.coord is not None:  # Classic: times overlap / maxOverlap
+            overlap = np.full(docs.size, len(musts), dtype=np.int32)
+            if opt_docs is not None and opt_docs.size:
+                i = np.minimum(np.searchsorted(opt_docs, docs), opt_docs.size - 1)
+                hit = opt_docs[i] == docs
+                overlap[hit] += opt_counts[i[hit]]
+            coord = self.sim.coord(overlap, len(musts) + len(shoulds))
+            scores = (scores * coord).astype(np.float32)
+
         for nq in nots:
             nd, _ = self.evaluate(nq)
             if nd.size and docs.size:
@@ -1240,8 +902,8 @@ class SegmentScorer:
         return docs, scores
 
     def _cost(self, q: Query) -> int:
-        if isinstance(q, TermQuery):
-            return self.stats["df"].get(q.term, 0)
+        if isinstance(q, TermQuery):  # LM stats may carry no df: clause order
+            return self.stats.get("df", {}).get(q.term, 0)
         return self.stats["max_doc"]
 
     def top_k(
@@ -1255,8 +917,9 @@ class SegmentScorer:
         """[(global docid, float32 score)] by (score desc, docid asc), length<=k.
 
         mode: 'auto' uses block-max WAND for term/pure-disjunction queries
-        (result-preserving pruning), 'exhaustive' forces full evaluation,
-        'wand' forces WAND (error if the query shape is ineligible).
+        (result-preserving pruning) when the similarity has a block bound,
+        'exhaustive' forces full evaluation, 'wand' forces WAND (error if
+        the query shape or the similarity is ineligible).
         exclude_local: deleted (liveDocs) local docids — forces the
         exhaustive path so masking happens before top-k selection.
         """
@@ -1273,7 +936,9 @@ class SegmentScorer:
                 return []
             order = np.lexsort((docs, -scores))[:k]
             return [(int(docs[i]) + self.reader.doc_base, float(scores[i])) for i in order]
-        if mode in ("auto", "wand"):
+        if mode == "wand" and self.sim.block_bound is None:
+            raise ValueError(f"{type(self.sim).__name__} has no WAND bound")
+        if mode in ("auto", "wand") and self.sim.block_bound is not None:
             from .wand import is_wand_eligible, wand_top_k
 
             tw = is_wand_eligible(q) if hasattr(self.reader, "blocks") else None
@@ -1286,8 +951,8 @@ class SegmentScorer:
                     len(tw) == 2 and sum_df >= WAND_MIN_OR_DF
                 )
                 if mode == "wand" or use:
-                    weights = [(t, self._term_weight(t, boost)) for t, boost in tw]
-                    hits = wand_top_k(self.reader, weights, self.cache, k, search_after)
+                    weights = [(t, self.sim.weight((t,), boost)) for t, boost in tw]
+                    hits = wand_top_k(self.reader, weights, self.sim, k, search_after)
                     return [(d + self.reader.doc_base, s) for d, s in hits]
             elif mode == "wand":
                 raise ValueError(f"query not WAND-eligible: {q!r}")

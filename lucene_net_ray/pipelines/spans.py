@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..functions import similarity as sim
+from ..functions.similarity import BM25
 from ..query import Query
 
 
@@ -397,12 +397,10 @@ def _near_unordered(sub: list[list[tuple[int, int]]], slop: int) -> list[tuple[i
 class SpanEvaluator:
     """Evaluate a span query against one segment (positions index required)."""
 
-    def __init__(self, reader, global_stats: dict, k1: float = 1.2, b: float = 0.75):
+    def __init__(self, reader, global_stats: dict):
         self.reader = reader
         self.stats = global_stats
-        self.k1 = np.float32(k1)
-        avgdl = sim.avg_field_length(global_stats["sum_ttf"], global_stats["max_doc"])
-        self.cache = sim.norm_cache(avgdl, self.k1, np.float32(b))
+        self.sim = BM25().bind(global_stats)
 
     def evaluate(self, q) -> tuple[np.ndarray, np.ndarray]:
         terms = sorted(span_terms(q))
@@ -450,13 +448,8 @@ class SpanEvaluator:
             # with includeSpanScore=false): score = payload factor * boost
             scores = (np.array(factors, dtype=np.float32) * np.float32(q.boost)).astype(np.float32)
             return docs, scores
-        idf_sum = np.float32(0.0)
-        for t in terms:
-            df = self.stats["df"].get(t, 0)
-            if df > 0:
-                idf_sum = np.float32(idf_sum + sim.idf(df, self.stats["max_doc"]))
-        w = np.float32(np.float32(idf_sum * np.float32(q.boost)) * (self.k1 + np.float32(1.0)))
-        scores = ((np.float32(w) * freqs) / (freqs + self.cache[self.reader.norms[docs]])).astype(np.float32)
+        w = self.sim.weight([t for t in terms if self.stats["df"].get(t, 0) > 0], q.boost)
+        scores = self.sim.score(w, freqs, docs, self.reader)
         if pay_root:  # span score × payload factor (PayloadTermQuery.cs:141)
             scores = (scores * np.array(factors, dtype=np.float32)).astype(np.float32)
         return docs, scores

@@ -2,8 +2,9 @@
 
 Strictly result-preserving (SURVEY.md §7.2.6): per-128-doc-block metadata
 (max_tf, min_normb — codec.encode_postings) gives a true upper bound on any
-doc's score inside the block (similarity.block_max_score). The docid axis is
-cut into zones at the union of all terms' block boundaries.
+doc's score inside the block (the similarity's block_bound; only BM25 has
+one). The docid axis is cut into zones at the union of all terms' block
+boundaries.
 
 Round-2 scheme (the round-1 per-zone Python sweep lost to one vectorized
 decode below ~5M summed df): all zone bounds are computed VECTORIZED up
@@ -27,23 +28,22 @@ import heapq
 
 import numpy as np
 
-from ..functions import similarity as sim
+from ..functions.similarity import Similarity
 from ..state.segment import SegmentReader
 
 
 def wand_top_k(
     reader: SegmentReader,
     term_weights: list[tuple[str, np.float32]],
-    cache: np.ndarray,
+    similarity: Similarity,
     k: int,
     search_after: tuple[float, int] | None = None,
 ) -> list[tuple[int, float]]:
     """[(local docid, float32 score)] top-k of sum-of-term-scores (SHOULD sum).
 
-    term_weights: [(term, weight_value)] with weight_value = idf*(k1+1)*boost
-    from index-global stats. Results identical to exhaustive evaluation.
+    term_weights: [(term, weight)] from ``similarity`` (bound to the
+    index-global stats). Results identical to exhaustive evaluation.
     """
-    norms = reader.norms
     terms = []
     for term, w in term_weights:
         if w <= 0:
@@ -52,7 +52,7 @@ def wand_top_k(
         if ti < 0:
             continue
         blocks = reader.blocks(ti)
-        ub = sim.block_max_score(blocks["max_tf"], blocks["min_normb"], w, cache)
+        ub = similarity.block_bound(w, blocks["max_tf"], blocks["min_normb"])
         terms.append(
             {
                 "ti": ti,
@@ -104,7 +104,7 @@ def wand_top_k(
         if zi == PROBE and len(heap) >= k:
             remaining = np.count_nonzero(safe_bounds[order[zi:]] >= heap[0][0])
             if remaining > 4 * PROBE:
-                return _exhaustive_top_k(reader, term_weights, cache, k, search_after)
+                return _exhaustive_top_k(reader, term_weights, similarity, k, search_after)
         lo = int(zone_lo[z])
         hi = int(bounds[z])
         zone_docs: list[np.ndarray] = []
@@ -123,7 +123,7 @@ def wand_top_k(
             if not m.any():
                 continue
             d = docids[m]
-            s = sim.score_tf(tfs[m], norms[d], t["w"], cache)
+            s = similarity.score(t["w"], tfs[m], d, reader)
             zone_docs.append(d)
             zone_scores.append(s)
         if not zone_docs:
@@ -163,13 +163,12 @@ def wand_top_k(
 def _exhaustive_top_k(
     reader,
     term_weights: list[tuple[str, np.float32]],
-    cache: np.ndarray,
+    similarity: Similarity,
     k: int,
     search_after: tuple[float, int] | None,
 ) -> list[tuple[int, float]]:
     """Vectorized full-decode scoring with identical float semantics to the
     zone walk (f32 term scores, f64 accumulate, f32 final)."""
-    norms = reader.norms
     docs_l, scores_l = [], []
     for term, w in term_weights:
         if w <= 0:
@@ -177,7 +176,7 @@ def _exhaustive_top_k(
         d, tf = reader.postings(term)
         if d.size == 0:
             continue
-        s = sim.score_tf(tf, norms[d], np.float32(w), cache)
+        s = similarity.score(np.float32(w), tf, d, reader)
         docs_l.append(d)
         scores_l.append(s)
     if not docs_l:

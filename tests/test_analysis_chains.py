@@ -123,7 +123,9 @@ def test_lm_dirichlet_hand_vectors(tmp_path):
     import math
 
     from lucene_net_ray.functions.norms import NORM_TABLE
-    from lucene_net_ray.pipelines.scorer import LMSegmentScorer
+    from lucene_net_ray.functions.similarity_lm import LMDirichlet, LMJelinekMercer
+    from lucene_net_ray.pipelines.scorer import SegmentScorer
+    from lucene_net_ray.query import BooleanClause, BooleanQuery, TermQuery
     from lucene_net_ray.state.index import IndexMeta
     from lucene_net_ray.state.segment import SegmentReader
 
@@ -133,8 +135,8 @@ def test_lm_dirichlet_hand_vectors(tmp_path):
     reader = SegmentReader(IndexMeta(idx).segment_dirs[0])
     T = meta.sum_ttf
     stats = {"max_doc": meta.max_doc, "sum_ttf": T, "ttf": {"alpha": 3, "beta": 3}}
-    sc = LMSegmentScorer(reader, stats, model="dirichlet", mu=2000.0)
-    dids, scores = sc.score_term("alpha")
+    sc = SegmentScorer(reader, stats, LMDirichlet(mu=2000.0))
+    dids, scores = sc.score_term(TermQuery(term="alpha"))
     assert dids.tolist() == [0, 2]
     for did, tf in zip(dids.tolist(), (2, 1)):
         dl = float(NORM_TABLE[reader.norms[did]])
@@ -143,10 +145,8 @@ def test_lm_dirichlet_hand_vectors(tmp_path):
         got = float(scores[dids.tolist().index(did)])
         assert np.float32(got) == np.float32(exp), (did, got, exp)
     # jelinek-mercer variant and boolean sum
-    from lucene_net_ray.query import BooleanClause, BooleanQuery, TermQuery
-
-    jm = LMSegmentScorer(reader, stats, model="jelinek_mercer", lam=0.1)
-    d_j, s_j = jm.score_term("beta")
+    jm = SegmentScorer(reader, stats, LMJelinekMercer(lam=0.1))
+    d_j, s_j = jm.score_term(TermQuery(term="beta"))
     assert d_j.tolist() == [0, 1]
     assert all(s > 0 for s in s_j.tolist())
     q = BooleanQuery(clauses=(BooleanClause(TermQuery(term="alpha"), "MUST"),
@@ -163,7 +163,8 @@ def test_dfr_ib_hand_vectors(tmp_path):
     import math
 
     from lucene_net_ray.functions.norms import NORM_TABLE
-    from lucene_net_ray.pipelines.scorer import DFRSegmentScorer, IBSegmentScorer
+    from lucene_net_ray.functions.similarity_dfr import DFR, IB
+    from lucene_net_ray.pipelines.scorer import SegmentScorer
     from lucene_net_ray.query import BooleanClause, BooleanQuery, TermQuery
     from lucene_net_ray.state.index import IndexMeta
     from lucene_net_ray.state.segment import SegmentReader
@@ -176,8 +177,8 @@ def test_dfr_ib_hand_vectors(tmp_path):
     avgdl = T / N
     stats = {"max_doc": N, "sum_ttf": T, "df": {"alpha": 2, "beta": 2}, "ttf": {"alpha": 3, "beta": 3}}
 
-    dfr = DFRSegmentScorer(reader, stats, basic_model="In", after_effect="L", normalization="H2", c=1.0)
-    dids, scores = dfr.score_term("alpha")
+    dfr = SegmentScorer(reader, stats, DFR(basic_model="In", after_effect="L", normalization="H2", c=1.0))
+    dids, scores = dfr.score_term(TermQuery(term="alpha"))
     assert dids.tolist() == [0, 2]
     for i, (did, tf) in enumerate(zip(dids.tolist(), (2, 1))):
         dl = float(NORM_TABLE[reader.norms[did]])
@@ -185,8 +186,8 @@ def test_dfr_ib_hand_vectors(tmp_path):
         exp = np.float32((1.0 / (1.0 + tfn)) * tfn * math.log2((N + 1) / (2 + 0.5)))
         assert np.float32(scores[i]) == exp, (did, float(scores[i]), float(exp))
 
-    ib = IBSegmentScorer(reader, stats, distribution="LL", lambda_model="DF", normalization="H2", c=1.0)
-    dids, scores = ib.score_term("beta")
+    ib = SegmentScorer(reader, stats, IB(distribution="LL", lambda_model="DF", normalization="H2", c=1.0))
+    dids, scores = ib.score_term(TermQuery(term="beta"))
     assert dids.tolist() == [0, 1]
     for i, (did, tf) in enumerate(zip(dids.tolist(), (1, 2))):
         dl = float(NORM_TABLE[reader.norms[did]])
@@ -208,7 +209,9 @@ def test_dfr_gpdbe_hand_vectors(tmp_path):
     import math
 
     from lucene_net_ray.functions.norms import NORM_TABLE
-    from lucene_net_ray.pipelines.scorer import DFRSegmentScorer
+    from lucene_net_ray.functions.similarity_dfr import DFR
+    from lucene_net_ray.pipelines.scorer import SegmentScorer
+    from lucene_net_ray.query import TermQuery
     from lucene_net_ray.state.index import IndexMeta
     from lucene_net_ray.state.segment import SegmentReader
 
@@ -245,9 +248,9 @@ def test_dfr_gpdbe_hand_vectors(tmp_path):
         return max(0.0, np.float32((1.0 / (1.0 + tfn)) * info))
 
     for model in ("G", "P", "D", "Be"):
-        sc = DFRSegmentScorer(reader, stats, basic_model=model, after_effect="L",
-                              normalization="H2", c=1.0)
-        dids, scores = sc.score_term("alpha")
+        sc = SegmentScorer(reader, stats, DFR(basic_model=model, after_effect="L",
+                                              normalization="H2", c=1.0))
+        dids, scores = sc.score_term(TermQuery(term="alpha"))
         assert dids.tolist() == [0, 2], model
         for i, tf in enumerate((2, 1)):
             dl = float(NORM_TABLE[reader.norms[dids[i]]])
@@ -260,7 +263,8 @@ def test_sweetspot_hand_vectors(tmp_path):
     (Misc/SweetSpotSimilarity.cs ComputeLengthNorm/BaselineTf)."""
     import math
 
-    from lucene_net_ray.pipelines.scorer import SweetSpotSegmentScorer
+    from lucene_net_ray.functions.similarity_classic import SweetSpot
+    from lucene_net_ray.pipelines.scorer import SegmentScorer
     from lucene_net_ray.query import TermQuery
     from lucene_net_ray.state.index import IndexMeta
     from lucene_net_ray.state.segment import SegmentReader
@@ -271,7 +275,7 @@ def test_sweetspot_hand_vectors(tmp_path):
     reader = SegmentReader(IndexMeta(idx).segment_dirs[0])
     N = meta.max_doc
     stats = {"max_doc": N, "df": {"alpha": 2}}
-    sc = SweetSpotSegmentScorer(reader, stats, ln_min=3, ln_max=4, steepness=0.5)
+    sc = SegmentScorer(reader, stats, SweetSpot(ln_min=3, ln_max=4, steepness=0.5))
     docs_o, scores = sc.evaluate(TermQuery(term="alpha"))
     assert docs_o.tolist() == [0, 2]
     idf = np.float32(math.log(N / (2 + 1.0)) + 1.0)
@@ -288,7 +292,7 @@ def test_sweetspot_hand_vectors(tmp_path):
     nn = sweetspot_length_norm(lens, 3, 4, 0.5)
     assert np.allclose(nn, 1.0)
     # hyperbolic tf variant runs and is monotone in tf
-    hy = SweetSpotSegmentScorer(reader, stats, hyperbolic={"h_min": 0.0, "h_max": 2.0})
+    hy = SegmentScorer(reader, stats, SweetSpot(hyperbolic={"h_min": 0.0, "h_max": 2.0}))
     d2, s2 = hy.evaluate(TermQuery(term="alpha"))
     assert d2.tolist() == [0, 2] and s2[0] > s2[1]
 

@@ -21,7 +21,8 @@ from lucene_net_ray.pipelines.collectors import (
     search_sorted,
     suggest_terms,
 )
-from lucene_net_ray.pipelines.scorer import ClassicSegmentScorer, SegmentScorer
+from lucene_net_ray.functions.similarity_classic import Classic
+from lucene_net_ray.pipelines.scorer import SegmentScorer
 from lucene_net_ray.pipelines.search import Searcher
 from lucene_net_ray.query import (
     BooleanQuery,
@@ -242,7 +243,7 @@ def test_classic_similarity_term(setup):
     reader = SegmentReader(meta.segment_dirs[0])
     q = TermQuery(term="query")
     _, stats = searcher._rewrite_and_stats(q)
-    cls = ClassicSegmentScorer(reader, stats)
+    cls = SegmentScorer(reader, stats, Classic())
     docs, scores = cls.evaluate(q)
     # hand-compute for the first matching doc
     from lucene_net_ray.functions.norms import byte315_to_float
@@ -270,7 +271,7 @@ def test_classic_similarity_boolean_coord(setup):
     reader = SegmentReader(meta.segment_dirs[0])
     q = parse_query("query token")
     _, stats = searcher._rewrite_and_stats(q)
-    cls = ClassicSegmentScorer(reader, stats)
+    cls = SegmentScorer(reader, stats, Classic())
     docs, scores = cls.evaluate(q)
     # docs matching both clauses must outrank same docs' single-clause score
     both = np.intersect1d(reader.postings("query")[0], reader.postings("token")[0])
