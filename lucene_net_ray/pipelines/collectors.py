@@ -42,21 +42,14 @@ from .search import Searcher
 # sorted search / facets / grouping (driver-side merges over per-segment work)
 # ---------------------------------------------------------------------------
 
-def _group_call(searcher: Searcher, method: str, *args) -> list:
-    """Invoke a _SegmentGroup collector partial on every group (actor or
-    local), returning per-group results. Round 2: these used to require
-    use_actors=False and pulled every matching doc to the driver; now the
-    actors compute segment-side partials and the driver only merges
+def _group_call(searcher: Searcher, method: str, q: Query, *args) -> list:
+    """Rewrite ``q``, then invoke a _SegmentGroup collector partial on every
+    group (actor or local), returning per-group results. Round 2: these used
+    to require use_actors=False and pulled every matching doc to the driver;
+    now the actors compute segment-side partials and the driver only merges
     summaries (the driver-contract Dataset versions remain the pure-Ray-Data
     expression of the same operators)."""
-    import ray as _ray
-
-    q, *rest = args
-    rq, stats = searcher._rewrite_and_stats(q)
-    call_args = (rq, stats, *rest)
-    if searcher.use_actors:
-        return _ray.get([getattr(g, method).remote(*call_args) for g in searcher.groups])
-    return [getattr(g, method)(*call_args) for g in searcher.groups]
+    return searcher._call(method, *searcher._rewrite_and_stats(q), *args)
 
 
 def search_sorted(
@@ -149,7 +142,7 @@ def field_stats(searcher: Searcher, fields: list[str]) -> dict[str, tuple]:
     segment group, scalars to the driver (feeds the ScaleFloatFunction
     analog in expressions.function_query)."""
     out: dict = {}
-    for part in _group_call_nostats(searcher, "field_minmax_partial", list(fields)):
+    for part in searcher._call("field_minmax_partial", list(fields)):
         for f, (mn, mx) in part.items():
             cur = out.get(f)
             out[f] = (
@@ -158,15 +151,6 @@ def field_stats(searcher: Searcher, fields: list[str]) -> dict[str, tuple]:
                 else (min(cur[0], mn), max(cur[1], mx))
             )
     return out
-
-
-def _group_call_nostats(searcher: Searcher, method: str, *args) -> list:
-    """_group_call for partials that take no query/stats."""
-    import ray as _ray
-
-    if searcher.use_actors:
-        return _ray.get([getattr(g, method).remote(*args) for g in searcher.groups])
-    return [getattr(g, method)(*args) for g in searcher.groups]
 
 
 def all_group_heads(
@@ -306,13 +290,7 @@ def more_like_this_by_doc(
 ) -> Query:
     """MoreLikeThis.Like(docID) analog — requires store_term_vectors=True at
     build; reads the doc's term vector instead of re-analyzing text."""
-    tf = None
-    for group in searcher.groups:
-        readers = group.readers if hasattr(group, "readers") else []
-        for r in readers:
-            if r.doc_base <= doc_id < r.doc_base + r.doc_count:
-                tf = r.term_vector(doc_id - r.doc_base)
-                break
+    tf = next((tv for tv in searcher._call("term_vector", doc_id) if tv is not None), None)
     if tf is None:
         raise KeyError(f"doc {doc_id} not in index")
     df = searcher._stats_for_terms(sorted(tf))
@@ -368,10 +346,7 @@ def fuzzy_like_this(
     counter = 0
     for field, text in texts.items():
         for term in dict.fromkeys(analyzer(text)):  # unique, first-seen order
-            from .spans import _searcher_expand
-
-            variants = _searcher_expand(
-                searcher,
+            variants = searcher.expand(
                 FuzzyQuery(
                     field=field,
                     term=term,
@@ -438,7 +413,6 @@ def match_phrase_prefix(
     prefix expands index-wide through the same bounded terms_in_range walk
     as PrefixQuery (never the whole vocabulary); an unexpandable prefix
     yields a query matching nothing."""
-    from ..pipelines.spans import _searcher_expand
     from ..query import MultiPhraseQuery, PrefixQuery, TermQuery
 
     analyzer = analyzer or Analyzer()
@@ -446,9 +420,7 @@ def match_phrase_prefix(
     if not terms:
         return BooleanQuery()
     last = terms[-1]
-    expansions = _searcher_expand(
-        searcher, PrefixQuery(field=field, prefix=last, max_expansions=max_expansions)
-    )
+    expansions = searcher.expand(PrefixQuery(field=field, prefix=last, max_expansions=max_expansions))
     exp_terms = tuple(t for t, _ in expansions[:max_expansions])
     if not exp_terms:
         return BooleanQuery()  # no term completes the prefix: match nothing
@@ -526,16 +498,10 @@ def suggest_terms(
     """[(term, edit_distance, global df)] nearest dictionary terms
     (DirectSpellChecker analog, ranked by distance then df desc)."""
     from ..query import FuzzyQuery
-    from .scorer import expand_multiterm
     from .scorer import _edit_distance_capped as ed
 
-    fq = FuzzyQuery(term=term, max_edits=max_edits, max_expansions=1000)
-    cands: set[str] = set()
-    for group in searcher.groups:
-        readers = group.readers if hasattr(group, "readers") else []
-        for r in readers:
-            cands.update(t for t, _ in expand_multiterm(r, fq))
-    df = searcher._stats_for_terms(sorted(cands))
+    cands = [t for t, _ in searcher.expand(FuzzyQuery(term=term, max_edits=max_edits, max_expansions=1000))]
+    df = searcher._stats_for_terms(cands)
     ranked = sorted(
         ((t, ed(term, t, max_edits), df.get(t, 0)) for t in cands if t != term),
         key=lambda x: (x[1], -x[2], x[0]),
@@ -706,14 +672,8 @@ def knn_classify(
     if not hits:
         return "", {}
     votes: Counter = Counter()
-    doc_ids = {d for d, _ in hits}
-    for group in searcher.groups:
-        readers = group.readers if hasattr(group, "readers") else []
-        for r in readers:
-            local = [d - r.doc_base for d in doc_ids if r.doc_base <= d < r.doc_base + r.doc_count]
-            if local:
-                vals = r.doc_values(label_field)
-                votes.update(str(vals[d]) for d in local)
+    for part in searcher._call("stored_values", label_field, sorted({d for d, _ in hits})):
+        votes.update(str(v) for _d, v in part)
     label = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
     return label, dict(votes)
 
@@ -758,15 +718,9 @@ def suggest_completions(searcher: Searcher, prefix: str, k: int = 5) -> list[tup
     Suggest/Suggest/Analyzing/AnalyzingSuggester.cs:88 — FST replaced by the
     sorted term dict's prefix range)."""
     from ..query import PrefixQuery
-    from .scorer import expand_multiterm
 
-    pq_ = PrefixQuery(prefix=prefix)
-    cands: set[str] = set()
-    for group in searcher.groups:
-        readers = group.readers if hasattr(group, "readers") else []
-        for r in readers:
-            cands.update(t for t, _ in expand_multiterm(r, pq_))
-    df = searcher._stats_for_terms(sorted(cands))
+    cands = [t for t, _ in searcher.expand(PrefixQuery(prefix=prefix))]
+    df = searcher._stats_for_terms(cands)
     ranked = sorted(((t, df.get(t, 0)) for t in cands), key=lambda x: (-x[1], x[0]))
     return ranked[:k]
 

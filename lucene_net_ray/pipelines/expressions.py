@@ -307,13 +307,7 @@ def bind_index_expression(searcher, expr: str) -> tuple[dict, dict]:
     df: dict = {t: 0 for t in stat_terms}
     ttf: dict = {t: 0 for t in stat_terms}
     if stat_terms:
-        if searcher.use_actors:
-            import ray as _ray
-
-            per = _ray.get([g.term_stats.remote(stat_terms) for g in searcher.groups])
-        else:
-            per = [g.term_stats(stat_terms) for g in searcher.groups]
-        for part in per:
+        for part in searcher._call("term_stats", stat_terms):
             for t, (d, tt) in part.items():
                 df[t] += d
                 ttf[t] += tt

@@ -52,6 +52,7 @@ import ray.data
 from ..functions import codec
 from ..state.index import IndexMeta, write_index_manifest
 from ..state.segment import SegmentReader
+from .search import Searcher, _SegmentGroup
 
 
 def _blob_array(buf: np.ndarray, offs: np.ndarray, lens: np.ndarray) -> pa.LargeBinaryArray:
@@ -495,6 +496,7 @@ def merge_index(index: IndexMeta | str, out_dir: str, *, bucket_size: int = 8) -
             "payload_delimiter": index.manifest.get("payload_delimiter"),
             "source": index.index_dir,
             "analyzer": index.manifest.get("analyzer"),
+            "content_column": index.manifest.get("content_column", "content"),
             "segments": index.manifest["segments"],
             "parts": parts_meta,
         },
@@ -974,56 +976,14 @@ class MergedIndexReader:
         return docids, tfs, flatp, np.concatenate(([0], np.cumsum(tfs)))
 
 
-class MergedSearcher:
-    """Search interface over a merged index (same results as the segmented
-    Searcher — asserted by the merge-equivalence tests)."""
+class MergedSearcher(Searcher):
+    """The Searcher over a merged index: one in-process shard holding the
+    merged reader (same results as the segmented Searcher — asserted by the
+    merge-equivalence tests)."""
 
     def __init__(self, out_dir: str):
-        from .scorer import SegmentScorer, expand_multiterm, query_terms
-
         self.reader = MergedIndexReader(out_dir)
-        self._SegmentScorer = SegmentScorer
-        self._expand = expand_multiterm
-        self._query_terms = query_terms
-
-    def _stats(self, q) -> dict:
-        terms = sorted(self._query_terms(q))
-        df = {t: self.reader.term_stats(t)[0] for t in terms}
-        return {"max_doc": self.reader.doc_count, "sum_ttf": self.reader.sum_ttf, "df": df}
-
-    def _rewrite(self, q):
-        """Searcher-level fuzzy rewrite (TopTermsRewrite): expand to a SHOULD
-        BooleanQuery BEFORE stats gathering so expanded terms score with
-        their real df — mirrors Searcher._rewrite_and_stats."""
-        from ..query import BooleanClause, BooleanQuery, FuzzyQuery, TermQuery
-
-        if isinstance(q, FuzzyQuery):
-            top = self._expand(self.reader, q)
-            return BooleanQuery(
-                boost=q.boost,
-                clauses=tuple(
-                    BooleanClause(TermQuery(field=q.field, term=t, boost=b), "SHOULD")
-                    for t, b in top
-                ),
-            )
-        if isinstance(q, BooleanQuery):
-            return BooleanQuery(
-                boost=q.boost,
-                min_should_match=q.min_should_match,
-                clauses=tuple(
-                    BooleanClause(self._rewrite(c.query), c.occur) for c in q.clauses
-                ),
-            )
-        return q
-
-    def search(self, q, k: int = 10):
-        q = self._rewrite(q)
-        scorer = self._SegmentScorer(self.reader, self._stats(q))
-        return scorer.top_k(q, k)
-
-    def count(self, q) -> int:
-        q = self._rewrite(q)
-        return self._SegmentScorer(self.reader, self._stats(q)).count(q)
+        super().__init__(out_dir, use_actors=False, groups=[_SegmentGroup([self.reader])])
 
 
 @ray.remote
@@ -1189,12 +1149,12 @@ class _ShardedMergedReader:
         return np.concatenate(parts)
 
 
-class ShardedMergedSearcher:
-    """MergedSearcher semantics over a MergedRangeActor group: the parts
-    manifest is split into `num_actors` contiguous term ranges, each served
-    by one actor. Queries prefetch all term postings with ONE round trip per
-    covering actor, then score locally — asserted result-identical to the
-    single-process MergedSearcher in tests."""
+class ShardedMergedSearcher(Searcher):
+    """The Searcher over a MergedRangeActor group: the parts manifest is
+    split into `num_actors` contiguous term ranges, each served by one
+    actor. The one in-process shard's reader prefetches a query's postings
+    with ONE round trip per covering actor, then scores locally — asserted
+    result-identical to the single-process MergedSearcher in tests."""
 
     def __init__(self, out_dir: str, num_actors: int = 4):
         local = MergedIndexReader(out_dir)
@@ -1212,25 +1172,4 @@ class ShardedMergedSearcher:
             for g in groups
         ]
         self.reader = _ShardedMergedReader(out_dir, self._actors, bounds, local.manifest)
-        from .scorer import SegmentScorer, expand_multiterm, query_terms
-
-        self._SegmentScorer = SegmentScorer
-        self._expand = expand_multiterm
-        self._query_terms = query_terms
-
-    _rewrite = MergedSearcher._rewrite  # searcher-level fuzzy TopTermsRewrite
-
-    def _stats(self, q) -> dict:
-        terms = sorted(self._query_terms(q))
-        self.reader.prefetch(terms, positions=False)
-        df = {t: self.reader.term_stats(t)[0] for t in terms}
-        return {"max_doc": self.reader.doc_count, "sum_ttf": self.reader.sum_ttf, "df": df}
-
-    def search(self, q, k: int = 10):
-        q = self._rewrite(q)
-        scorer = self._SegmentScorer(self.reader, self._stats(q))
-        return scorer.top_k(q, k)
-
-    def count(self, q) -> int:
-        q = self._rewrite(q)
-        return self._SegmentScorer(self.reader, self._stats(q)).count(q)
+        super().__init__(out_dir, use_actors=False, groups=[_SegmentGroup([self.reader])])

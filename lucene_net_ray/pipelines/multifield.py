@@ -20,22 +20,11 @@ import os
 
 import numpy as np
 
-from ..query import (
-    FuzzyQuery,
-    PhraseQuery,
-    PrefixQuery,
-    Query,
-    RegexpQuery,
-    TermQuery,
-    TermRangeQuery,
-    WildcardQuery,
-)
+from ..query import Query, TermQuery
 from ..state.index import IndexMeta
 from ..state.segment import SegmentReader
-from .scorer import SegmentScorer, expand_multiterm, query_terms
-from .search import merge_top_docs
-
-_FIELD_LEAVES = (TermQuery, PrefixQuery, TermRangeQuery, WildcardQuery, FuzzyQuery, PhraseQuery, RegexpQuery)
+from .scorer import FIELD_LEAVES, SegmentScorer, query_field_terms
+from .search import Searcher, _SegmentGroup
 
 
 def build_multi_field_index(
@@ -83,7 +72,7 @@ class MultiFieldSegmentScorer(SegmentScorer):
         return super().score_term(q)
 
     def evaluate(self, q: Query):
-        if not isinstance(q, _FIELD_LEAVES):
+        if not isinstance(q, FIELD_LEAVES):
             return super().evaluate(q)
         if q.field not in self._readers:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
@@ -113,36 +102,41 @@ class MultiFieldSegmentScorer(SegmentScorer):
 class _MultiFieldGroup:
     """One segment slice's readers for ALL fields (shared by the in-process
     searcher and the actor pool — each actor holds 1/G of every per-field
-    index, so a query scatters once and gathers per-group top-k)."""
+    index, so a query scatters once and gathers per-group top-k). Each
+    field's segments form one ``_SegmentGroup``; a segment's scorer sees
+    every field's reader of that segment."""
 
     def __init__(self, field_seg_dirs: dict[str, list[str]]):
-        self.readers = {
-            f: [SegmentReader(d) for d in dirs] for f, dirs in field_seg_dirs.items()
-        }
-        self.fields = sorted(self.readers)
-        self.n_segments = len(next(iter(self.readers.values())))
+        self.by_field = {f: _SegmentGroup(dirs) for f, dirs in field_seg_dirs.items()}
+        n_segments = len(next(iter(field_seg_dirs.values())))
+        self.segments = [
+            {f: g.readers[si] for f, g in sorted(self.by_field.items())} for si in range(n_segments)
+        ]
 
     def term_stats(self, wanted: dict[str, list[str]]) -> dict[str, dict[str, int]]:
-        out: dict[str, dict[str, int]] = {}
-        for f, terms in wanted.items():
-            readers = self.readers.get(f, [])
-            out[f] = {t: sum(r.term_stats(t)[0] for r in readers) for t in terms}
-        return out
+        return {
+            f: {t: d for t, (d, _tt) in self.by_field[f].term_stats(terms).items()}
+            for f, terms in wanted.items()
+            if f in self.by_field
+        }
 
-    def top_k(self, q, stats: dict, k: int) -> list[tuple[int, float]]:
+    def expand(self, q) -> list[tuple[str, float]]:
+        g = self.by_field.get(q.field)
+        return g.expand(q) if g is not None else []
+
+    def top_k(self, q, stats: dict, k: int, search_after=None, budget=None) -> list[tuple[int, float]]:
+        if budget:
+            raise ValueError("collection budgets need a single-field index")
         hits: list[tuple[int, float]] = []
-        for si in range(self.n_segments):
-            readers = {f: self.readers[f][si] for f in self.fields}
-            hits.extend(MultiFieldSegmentScorer(readers, stats).top_k(q, k))
+        for readers in self.segments:
+            hits.extend(MultiFieldSegmentScorer(readers, stats).top_k(q, k, search_after))
         hits.sort(key=lambda h: (-h[1], h[0]))
         return hits[:k]
 
+    top_k_many = _SegmentGroup.top_k_many
+
     def count(self, q, stats: dict) -> int:
-        total = 0
-        for si in range(self.n_segments):
-            readers = {f: self.readers[f][si] for f in self.fields}
-            total += MultiFieldSegmentScorer(readers, stats).count(q)
-        return total
+        return sum(MultiFieldSegmentScorer(readers, stats).count(q) for readers in self.segments)
 
 
 import ray as _ray  # noqa: E402
@@ -150,8 +144,9 @@ import ray as _ray  # noqa: E402
 MultiFieldGroupActor = _ray.remote(_MultiFieldGroup)
 
 
-class MultiFieldSearcher:
-    """Searcher over a multi-field index directory.
+class MultiFieldSearcher(Searcher):
+    """The Searcher over a multi-field index directory: it inherits the
+    rewrite, search and count, and assembles statistics per field.
 
     use_actors=True shards the aligned per-field segment lists across
     ``num_actors`` group actors (each holds 1/G of EVERY field's index, so
@@ -167,46 +162,24 @@ class MultiFieldSearcher:
             raise ValueError("per-field indexes have different segment counts")
         self.n_segments = n_segs.pop()
         self.max_doc = next(iter(self.metas.values())).max_doc
-        self.use_actors = use_actors
         n = max(1, min(num_actors, self.n_segments))
         slices = [list(range(self.n_segments))[i::n] for i in range(n)]
         group_dirs = [
             {f: [seg_dirs[f][si] for si in sl] for f in self.fields} for sl in slices
         ]
-        if use_actors:
-            self.groups = [MultiFieldGroupActor.remote(g) for g in group_dirs]
-        else:
-            self.groups = [_MultiFieldGroup(g) for g in group_dirs]
-        self._readers = self.groups[0].readers if not use_actors and n == 1 else None
+        shard = MultiFieldGroupActor.remote if use_actors else _MultiFieldGroup
+        groups = [shard(g) for g in group_dirs]
+        super().__init__(self.metas[self.fields[0]], use_actors=use_actors, groups=groups)
 
-    def _stats_for(self, q: Query) -> dict:
-        from ..query import BooleanQuery, PhraseQuery, TermQuery
-
-        # collect terms per field referenced by the tree
-        per_field: dict[str, set[str]] = {}
-
-        def walk(node):
-            if isinstance(node, TermQuery):
-                per_field.setdefault(node.field, set()).add(node.term)
-            elif isinstance(node, PhraseQuery):
-                per_field.setdefault(node.field, set()).update(node.terms)
-            elif isinstance(node, BooleanQuery):
-                for c in node.clauses:
-                    walk(c.query)
-            elif hasattr(node, "query") and isinstance(getattr(node, "query"), Query):
-                walk(node.query)
-            elif hasattr(node, "disjuncts"):
-                for d in node.disjuncts:
-                    walk(d)
-
-        walk(q)
-        wanted = {f: sorted(per_field.get(f, ())) for f in self.fields}
-        if self.use_actors:
-            import ray
-
-            parts = ray.get([g.term_stats.remote(wanted) for g in self.groups])
-        else:
-            parts = [g.term_stats(wanted) for g in self.groups]
+    def _query_stats(self, q: Query) -> dict:
+        """{"fields": {field: {max_doc, sum_ttf, df}}}, df summed over the
+        shards for the (field, term) pairs of the tree."""
+        wanted: dict[str, set[str]] = {f: set() for f in self.fields}
+        for f, t in query_field_terms(q):
+            if f in wanted:
+                wanted[f].add(t)
+        wanted = {f: sorted(ts) for f, ts in wanted.items()}
+        parts = self._call("term_stats", wanted)
         fields_stats = {}
         for f in self.fields:
             df: dict[str, int] = {t: 0 for t in wanted[f]}
@@ -219,21 +192,3 @@ class MultiFieldSearcher:
                 "df": df,
             }
         return {"fields": fields_stats}
-
-    def search(self, q: Query, k: int = 10) -> list[tuple[int, float]]:
-        stats = self._stats_for(q)
-        if self.use_actors:
-            import ray
-
-            per = ray.get([g.top_k.remote(q, stats, k) for g in self.groups])
-        else:
-            per = [g.top_k(q, stats, k) for g in self.groups]
-        return merge_top_docs(per, k)
-
-    def count(self, q: Query) -> int:
-        stats = self._stats_for(q)
-        if self.use_actors:
-            import ray
-
-            return sum(ray.get([g.count.remote(q, stats) for g in self.groups]))
-        return sum(g.count(q, stats) for g in self.groups)

@@ -21,6 +21,7 @@ queryNorm and coord hooks apply per top-level query and per boolean.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -63,58 +64,70 @@ WAND_MIN_DF = 500_000       # single-term queries
 WAND_MIN_OR_DF = 10_000_000  # 2-term disjunctions (summed df)
 
 
+#: leaves that name an index field (term-bearing or multi-term)
+FIELD_LEAVES = (TermQuery, PhraseQuery, MultiPhraseQuery, PrefixQuery, TermRangeQuery, WildcardQuery, FuzzyQuery, RegexpQuery)
+#: nodes with query children (everything else is a leaf to map_leaves)
+_INNER_NODES = (BooleanQuery, DisjunctionMaxQuery, ConstantScoreQuery, FilteredQuery, QueryFilter, BoostingQuery)
+
+
+def map_leaves(q, fn):
+    """The one query-tree traversal: rebuild ``q`` with ``fn`` applied to
+    every leaf. It descends into boolean clauses, DisMax disjuncts,
+    ``.query`` of ConstantScore/Filtered queries and of a QueryFilter, and
+    BoostingQuery's match and context; every other node is a leaf. A node
+    whose children ``fn`` returned unchanged is returned as it was, so a
+    walk that only collects allocates no tree."""
+    if not isinstance(q, _INNER_NODES):
+        return fn(q)
+    if isinstance(q, BooleanQuery):
+        subs = [map_leaves(c.query, fn) for c in q.clauses]
+        if all(s is c.query for s, c in zip(subs, q.clauses)):
+            return q
+        return dataclasses.replace(q, clauses=tuple(BooleanClause(s, c.occur) for s, c in zip(subs, q.clauses)))
+    if isinstance(q, DisjunctionMaxQuery):
+        subs = tuple(map_leaves(d, fn) for d in q.disjuncts)
+        return q if all(s is d for s, d in zip(subs, q.disjuncts)) else dataclasses.replace(q, disjuncts=subs)
+    if isinstance(q, (ConstantScoreQuery, FilteredQuery, QueryFilter)):
+        kids = {"query": map_leaves(q.query, fn)}
+        if isinstance(getattr(q, "filter", None), QueryFilter):
+            kids["filter"] = map_leaves(q.filter, fn)
+    else:
+        kids = {"match": map_leaves(q.match, fn), "context": map_leaves(q.context, fn)}
+    if all(v is getattr(q, k) for k, v in kids.items()):
+        return q
+    return dataclasses.replace(q, **kids)
+
+
+def query_leaves(q: Query) -> list[Query]:
+    out: list[Query] = []
+    map_leaves(q, lambda leaf: out.append(leaf) or leaf)
+    return out
+
+
+def query_field_terms(q: Query) -> set[tuple[str, str]]:
+    """(field, term) of every literal term in a query tree (the global stats
+    pass; multi-field stats are per field)."""
+    out: set[tuple[str, str]] = set()
+    for leaf in query_leaves(q):
+        if isinstance(leaf, TermQuery):
+            out.add((leaf.field, leaf.term))
+        elif isinstance(leaf, PhraseQuery):
+            out.update((leaf.field, t) for t in leaf.terms)
+        elif isinstance(leaf, MultiPhraseQuery):
+            out.update((leaf.field, t) for terms in leaf.positions_terms for t in terms)
+    return out
+
+
 def query_terms(q: Query) -> set[str]:
     """All literal terms referenced by a query tree (for the global stats pass)."""
-    if isinstance(q, TermQuery):
-        return {q.term}
-    if isinstance(q, BooleanQuery):
-        out: set[str] = set()
-        for c in q.clauses:
-            out |= query_terms(c.query)
-        return out
-    if isinstance(q, PhraseQuery):
-        return set(q.terms)
-    if isinstance(q, MultiPhraseQuery):
-        return {t for terms in q.positions_terms for t in terms}
-    if isinstance(q, DisjunctionMaxQuery):
-        out = set()
-        for d in q.disjuncts:
-            out |= query_terms(d)
-        return out
-    if isinstance(q, (ConstantScoreQuery, FilteredQuery)):
-        out = query_terms(q.query)
-        if isinstance(getattr(q, "filter", None), QueryFilter):
-            out |= query_terms(q.filter.query)
-        return out
-    if isinstance(q, BoostingQuery):
-        return query_terms(q.match) | query_terms(q.context)
-    return set()
+    return {t for _f, t in query_field_terms(q)}
 
 
 def query_fields(q: Query) -> set[str]:
     """All index fields referenced by term-bearing leaves of a query tree
     (used by Searcher to reject queries against fields the index lacks —
     a parsed 'title:foo' must not silently search the content postings)."""
-    if isinstance(q, (TermQuery, PhraseQuery, MultiPhraseQuery, PrefixQuery, TermRangeQuery, WildcardQuery, FuzzyQuery, RegexpQuery)):
-        return {q.field}
-    if isinstance(q, BooleanQuery):
-        out: set[str] = set()
-        for c in q.clauses:
-            out |= query_fields(c.query)
-        return out
-    if isinstance(q, DisjunctionMaxQuery):
-        out = set()
-        for d in q.disjuncts:
-            out |= query_fields(d)
-        return out
-    if isinstance(q, (ConstantScoreQuery, FilteredQuery)):
-        out = query_fields(q.query)
-        if isinstance(getattr(q, "filter", None), QueryFilter):
-            out |= query_fields(q.filter.query)
-        return out
-    if isinstance(q, BoostingQuery):
-        return query_fields(q.match) | query_fields(q.context)
-    return set()
+    return {leaf.field for leaf in query_leaves(q) if isinstance(leaf, FIELD_LEAVES)}
 
 
 #: sorts above any real token (tokens are never runs of U+10FFFF)

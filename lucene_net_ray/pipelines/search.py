@@ -7,11 +7,19 @@ per-leaf scorers -> TopDocs.Merge with (score desc, docID asc) tie-break
 (/root/reference/src/Lucene.Net.Core/Search/TopDocs.cs:251-320,
  /root/reference/src/Lucene.Net.Core/Search/HitQueue.cs:78-88).
 
-Here: SegmentGroupActor holds SegmentReaders (term dict in RAM, postings
-mmap'd) — load once per actor, reused across queries. The driver broadcasts
-(query, global stats, k), actors return per-segment top-k, the driver heap-
-merges. For batch evaluation of a query SET, `batch_search` amortizes one
-actor round-trip over many queries.
+Here: ``Searcher`` is the one driver for every layout. It owns the rewrite
+(fuzzy leaves expand index-wide, at any depth), the stats pass, the fan-out
+(``_call``) and the top-k merge, over a list of shards that answer one
+protocol (term_stats / bloom_union / expand / top_k / top_k_many / count):
+  segmented   _SegmentGroup over segment dirs, in-process or as a
+              SegmentGroupActor (term dict in RAM, postings mmap'd; loaded
+              once per actor, reused across queries)
+  merged      one in-process _SegmentGroup over a MergedIndexReader, or over
+              a _ShardedMergedReader for range actors (pipelines/merge.py)
+  multi-field _MultiFieldGroup per segment slice (pipelines/multifield.py)
+The driver broadcasts (query, global stats, k), shards return top-k, the
+driver heap-merges. For batch evaluation of a query SET, `batch_search`
+amortizes one round-trip over many queries.
 
 At cluster scale the actor pool is sized to nodes x cores and each actor owns
 a disjoint group of segments; global stats are one small gather per query
@@ -26,10 +34,10 @@ import os
 import numpy as np
 import ray
 
-from ..query import Query
+from ..query import BooleanClause, BooleanQuery, FuzzyQuery, Query, TermQuery
 from ..state.index import IndexMeta
 from ..state.segment import SegmentReader
-from .scorer import SegmentScorer, expand_multiterm, query_fields, query_terms
+from .scorer import SegmentScorer, expand_multiterm, map_leaves, query_fields, query_terms
 
 
 def _sort_key_fn(sort_fields):
@@ -73,11 +81,11 @@ class _SegmentGroup:
     ships once per actor at construction (or per refresh), not per query.
     """
 
-    def __init__(self, seg_dirs: list[str], deleted: list[int] | None = None):
-        self.readers = [SegmentReader(d) for d in seg_dirs]
-        import numpy as _np
-
-        dels = _np.asarray(deleted if deleted is not None else [], dtype=_np.int64)
+    def __init__(self, segments: list, deleted: list[int] | None = None):
+        """``segments``: segment directories, or readers already open (a
+        merged index is one group over its MergedIndexReader)."""
+        self.readers = [SegmentReader(d) if isinstance(d, str) else d for d in segments]
+        dels = np.asarray(deleted if deleted is not None else [], dtype=np.int64)
         self.deleted_local = []
         for r in self.readers:
             lo, hi = r.doc_base, r.doc_base + r.doc_count
@@ -89,8 +97,10 @@ class _SegmentGroup:
         # absent" is skipped without a dict probe (vectorized per reader).
         maybes = []
         for r in self.readers:
-            bl = r.term_bloom
+            bl = getattr(r, "term_bloom", None)
             maybes.append(bl.may_contain_many(terms) if bl is not None else None)
+            if hasattr(r, "prefetch"):  # range-sharded merged reader: one
+                r.prefetch(terms)  # round trip per covering actor
         out = {}
         for i, t in enumerate(terms):
             df = ttf = 0
@@ -106,7 +116,7 @@ class _SegmentGroup:
     def bloom_union(self):
         """OR of the segments' term sets — None unless EVERY segment has one
         (a missing set would make the union claim false absences)."""
-        blooms = [r.term_bloom for r in self.readers]
+        blooms = [getattr(r, "term_bloom", None) for r in self.readers]
         if not blooms or any(b is None for b in blooms):
             return None
         u = blooms[0]
@@ -184,15 +194,7 @@ class _SegmentGroup:
         return [self.top_k(q, stats, k) for q, stats in items]
 
     def count(self, q: Query, stats: dict) -> int:
-        import numpy as _np
-
-        total = 0
-        for r, dels in zip(self.readers, self.deleted_local):
-            docs, _ = SegmentScorer(r, stats).evaluate(q)
-            if dels.size:
-                docs = docs[~_np.isin(docs, dels, assume_unique=True)]
-            total += int(docs.size)
-        return total
+        return sum(int(docs.size) for _r, docs, _s in self._matching(q, stats))
 
     # --- collector partials (facet / sorted / grouping run on the actors;
     # the driver only merges per-group summaries, never raw matches) --------
@@ -451,15 +453,28 @@ class _SegmentGroup:
 
     def scored_docs(self, q: Query, stats: dict) -> list[tuple[int, float]]:
         """All matching live (global docid, score) — for tests/oracles."""
-        import numpy as _np
-
         out = []
-        for r, dels in zip(self.readers, self.deleted_local):
-            docs, scores = SegmentScorer(r, stats).evaluate(q)
-            if dels.size:
-                keep = ~_np.isin(docs, dels, assume_unique=True)
-                docs, scores = docs[keep], scores[keep]
+        for r, docs, scores in self._matching(q, stats):
             out.extend(zip((docs + r.doc_base).tolist(), scores.tolist()))
+        return out
+
+    def term_vector(self, docid: int) -> dict | None:
+        """The stored term vector of a global docid, None if no segment of
+        this group holds it."""
+        for r in self.readers:
+            if r.doc_base <= docid < r.doc_base + r.doc_count:
+                return r.term_vector(docid - r.doc_base)
+        return None
+
+    def stored_values(self, field: str, docids: list[int]) -> list:
+        """[(global docid, stored ``field`` value)] for the docids this group
+        holds."""
+        out = []
+        for r in self.readers:
+            local = [d - r.doc_base for d in docids if r.doc_base <= d < r.doc_base + r.doc_count]
+            if local:
+                vals = r.doc_values(field)
+                out.extend((d + r.doc_base, vals[d]) for d in local)
         return out
 
 
@@ -602,7 +617,12 @@ def evaluate_query_dataset(
 
 
 class Searcher:
-    """IndexSearcher analog. use_actors=False runs in-process (tests)."""
+    """IndexSearcher analog and the one serving driver: it rewrites a query
+    once against the whole index, gathers its statistics once, fans it out
+    to its shards and merges their top-k. A shard answers term_stats /
+    bloom_union / expand / top_k / top_k_many / count; it is a
+    ``_SegmentGroup`` over segments or a merged reader, a multi-field group,
+    or the actor handle of one. use_actors=False runs in-process (tests)."""
 
     def __init__(
         self,
@@ -611,65 +631,73 @@ class Searcher:
         use_actors: bool = True,
         groups: list | None = None,
     ):
-        """``groups`` adopts EXISTING SegmentGroupActor handles (shared
-        topology — e.g. the bulk-eval dispatchers all talk to one fixed group
-        set) instead of creating new actors."""
+        """``groups`` adopts EXISTING shards instead of creating them (shared
+        topology — e.g. the bulk-eval dispatchers all talk to one fixed
+        SegmentGroupActor set); they are actor handles unless use_actors is
+        False."""
         self.index = index if isinstance(index, IndexMeta) else IndexMeta(index)
         self.field = self.index.manifest.get("content_column", "content")
         self._df_cache: dict[str, int] = {}
         self.use_term_bloom = True  # driver-side Codecs/Bloom fan-out skip
         self._group_blooms_cache = None
-        if groups is not None:
-            self.use_actors = True
-            self.groups = groups
-            return
-        seg_dirs = self.index.segment_dirs
-        n = max(1, min(num_actors, len(seg_dirs)))
-        seg_groups = [seg_dirs[i::n] for i in range(n)]
         self.use_actors = use_actors
-        from ..state.deletes import load_deleted
+        if groups is None:
+            from ..state.deletes import load_deleted
 
-        deleted = load_deleted(self.index.index_dir).tolist()
-        if use_actors:
-            self.groups = [SegmentGroupActor.remote(g, deleted) for g in seg_groups]
-        else:
-            self.groups = [_SegmentGroup(g, deleted) for g in seg_groups]
+            seg_dirs = self.index.segment_dirs
+            n = max(1, min(num_actors, len(seg_dirs)))
+            deleted = load_deleted(self.index.index_dir).tolist()
+            shard = SegmentGroupActor.remote if use_actors else _SegmentGroup
+            groups = [shard(seg_dirs[i::n], deleted) for i in range(n)]
+        self.groups = groups
 
-    # --- the global stats pass (one term-dict gather per query) -----------
+    def _call(self, method: str, *args, calls: list | None = None) -> list:
+        """One fan-out: ``method`` on every shard with ``args`` (or on the
+        (shard, args) pairs of ``calls``), results in shard order. The only
+        place that tells an actor handle from an in-process shard."""
+        if calls is None:
+            calls = [(g, args) for g in self.groups]
+        if not self.use_actors:
+            return [getattr(g, method)(*a) for g, a in calls]
+        try:
+            return ray.get([getattr(g, method).remote(*a) for g, a in calls])
+        except ray.exceptions.RayTaskError as e:
+            if isinstance(e.cause, TimeExceededError):
+                raise e.cause from None
+            raise
+
+    # --- the rewrite and the global stats pass ----------------------------
+    def expand(self, q: Query) -> list[tuple[str, float]]:
+        """Index-wide expansion of a multi-term query: the union of the
+        shards' expansions (first-seen boost wins), sorted by term."""
+        seen: dict[str, float] = {}
+        for part in self._call("expand", q):
+            for t, b in part:
+                seen.setdefault(t, b)
+        return sorted(seen.items())
+
     def _rewrite_and_stats(self, q: Query) -> tuple[Query, dict]:
-        from ..query import BooleanClause, BooleanQuery, FuzzyQuery, TermQuery
+        """Searcher-level TopTermsRewrite, then the stats pass: every
+        FuzzyQuery leaf, at any depth, becomes a SHOULD BooleanQuery of its
+        best index-wide expansions, so every shard scores one term set with
+        real df."""
 
-        # fuzzy queries need a global expansion so every segment scores the
-        # same term set with the same boosts (TopTermsRewrite is searcher-level)
-        def rewrite(node: Query) -> Query:
-            if isinstance(node, FuzzyQuery):
-                if self.use_actors:
-                    per = ray.get([g.expand.remote(node) for g in self.groups])
-                else:
-                    per = [g.expand(node) for g in self.groups]
-                seen: dict[str, float] = {}
-                for lst in per:
-                    for t, b in lst:
-                        seen.setdefault(t, b)
-                top = sorted(seen.items(), key=lambda tb: (-tb[1], tb[0]))[: node.max_expansions]
-                return BooleanQuery(
-                    boost=node.boost,
-                    clauses=tuple(
-                        BooleanClause(TermQuery(field=node.field, term=t, boost=b), "SHOULD")
-                        for t, b in top
-                    ),
-                )
-            if isinstance(node, BooleanQuery):
-                return BooleanQuery(
-                    boost=node.boost,
-                    min_should_match=node.min_should_match,
-                    clauses=tuple(
-                        BooleanClause(rewrite(c.query), c.occur) for c in node.clauses
-                    ),
-                )
-            return node
+        def fuzzy(node: Query) -> Query:
+            if not isinstance(node, FuzzyQuery):
+                return node
+            top = sorted(self.expand(node), key=lambda tb: (-tb[1], tb[0]))[: node.max_expansions]
+            return BooleanQuery(
+                boost=node.boost,
+                clauses=tuple(
+                    BooleanClause(TermQuery(field=node.field, term=t, boost=b), "SHOULD")
+                    for t, b in top
+                ),
+            )
 
-        q = rewrite(q)
+        q = map_leaves(q, fuzzy)
+        return q, self._query_stats(q)
+
+    def _query_stats(self, q: Query) -> dict:
         # a parsed 'title:foo' must not silently search this index's single
         # content field; the parser's default field name 'content' is accepted
         # as an alias for whatever column the index was built over
@@ -679,11 +707,8 @@ class Searcher:
                 f"query references field(s) {sorted(unknown)} but this index "
                 f"only has {self.field!r} (use MultiFieldSearcher for multi-field docs)"
             )
-        terms = sorted(query_terms(q))
-        self._gather_df([t for t in terms if t not in self._df_cache])
-        df = {t: self._df_cache[t] for t in terms}
-        stats = {"max_doc": self.index.max_doc, "sum_ttf": self.index.sum_ttf, "df": df}
-        return q, stats
+        df = self._stats_for_terms(sorted(query_terms(q)))
+        return {"max_doc": self.index.max_doc, "sum_ttf": self.index.sum_ttf, "df": df}
 
     @property
     def _group_blooms(self):
@@ -692,12 +717,7 @@ class Searcher:
         sum of downsized set sizes — ~10 bits per distinct term, the same
         budget the reference spends per segment."""
         if self._group_blooms_cache is None:
-            if self.use_actors:
-                self._group_blooms_cache = ray.get(
-                    [g.bloom_union.remote() for g in self.groups]
-                )
-            else:
-                self._group_blooms_cache = [g.bloom_union() for g in self.groups]
+            self._group_blooms_cache = self._call("bloom_union")
         return self._group_blooms_cache
 
     def _gather_df(self, missing: list[str]) -> None:
@@ -708,23 +728,17 @@ class Searcher:
         if not missing:
             return
         agg = {t: 0 for t in missing}
-        sends: list[tuple[int, list[str]]] = []
+        sends: list[tuple] = []
         blooms = self._group_blooms if self.use_term_bloom else [None] * len(self.groups)
-        for gi, bl in enumerate(blooms):
+        for g, bl in zip(self.groups, blooms):
             if bl is None:
-                sends.append((gi, missing))
+                sends.append((g, (missing,)))
                 continue
             mb = bl.may_contain_many(missing)
             sub = [t for t, m in zip(missing, mb) if m]
             if sub:
-                sends.append((gi, sub))
-        if self.use_actors:
-            per = ray.get(
-                [self.groups[gi].term_stats.remote(sub) for gi, sub in sends]
-            )
-        else:
-            per = [self.groups[gi].term_stats(sub) for gi, sub in sends]
-        for stats in per:
+                sends.append((g, (sub,)))
+        for stats in self._call("term_stats", calls=sends):
             for t, (d, _tt) in stats.items():
                 agg[t] += d
         self._df_cache.update(agg)
@@ -755,48 +769,24 @@ class Searcher:
                 "early_docs": early_terminate_docs,
                 "greedy": greedy,
             }
-        if self.use_actors:
-            try:
-                per = ray.get(
-                    [g.top_k.remote(q, stats, k, search_after, budget) for g in self.groups]
-                )
-            except ray.exceptions.RayTaskError as e:
-                if isinstance(e.cause, TimeExceededError):
-                    raise e.cause from None
-                raise
-        else:
-            per = [g.top_k(q, stats, k, search_after, budget) for g in self.groups]
-        return merge_top_docs(per, k)
+        return merge_top_docs(self._call("top_k", q, stats, k, search_after, budget), k)
 
     def count(self, q: Query) -> int:
         q, stats = self._rewrite_and_stats(q)
-        if self.use_actors:
-            return sum(ray.get([g.count.remote(q, stats) for g in self.groups]))
-        return sum(g.count(q, stats) for g in self.groups)
+        return sum(self._call("count", q, stats))
 
     def scored_docs(self, q: Query) -> list[tuple[int, float]]:
         q, stats = self._rewrite_and_stats(q)
-        if self.use_actors:
-            per = ray.get([g.scored_docs.remote(q, stats) for g in self.groups])
-        else:
-            per = [g.scored_docs(q, stats) for g in self.groups]
-        out = [h for hits in per for h in hits]
+        out = [h for hits in self._call("scored_docs", q, stats) for h in hits]
         out.sort(key=lambda h: h[0])
         return out
 
     def batch_search(self, queries: list[tuple[str, Query]], k: int = 10) -> dict[str, list[tuple[int, float]]]:
         """Evaluate many queries with ONE top_k_many round-trip per group
         (amortizes actor-call overhead over the whole batch)."""
-        rewritten = []
-        for name, q in queries:
-            rq, stats = self._rewrite_and_stats(q)
-            rewritten.append((name, rq, stats))
-        items = [(rq, stats) for _name, rq, stats in rewritten]
-        out = {}
-        if self.use_actors:
-            per_group = ray.get([g.top_k_many.remote(items, k) for g in self.groups])
-        else:
-            per_group = [g.top_k_many(items, k) for g in self.groups]
-        for i, (name, _rq, _stats) in enumerate(rewritten):
-            out[name] = merge_top_docs([pg[i] for pg in per_group], k)
-        return out
+        items = [self._rewrite_and_stats(q) for _name, q in queries]
+        per_group = self._call("top_k_many", items, k)
+        return {
+            name: merge_top_docs([pg[i] for pg in per_group], k)
+            for i, (name, _q) in enumerate(queries)
+        }

@@ -130,27 +130,12 @@ class SpanMultiTermQuery(Query):
     field: str = "content"
 
 
-def _searcher_expand(searcher, node) -> list[tuple[str, float]]:
-    """Union of per-segment multiterm expansions (first-seen boost wins)."""
-    import ray as _ray
-
-    if searcher.use_actors:
-        per = _ray.get([g.expand.remote(node) for g in searcher.groups])
-    else:
-        per = [g.expand(node) for g in searcher.groups]
-    seen: dict[str, float] = {}
-    for lst in per:
-        for t, b in lst:
-            seen.setdefault(t, b)
-    return sorted(seen.items())
-
-
 def rewrite_span_multiterm(searcher, q):
     """Searcher-level rewrite: expand every SpanMultiTermQuery against the
     whole index (union over segments, like the fuzzy TopTermsRewrite) so df
     stats and evaluation see one fixed span tree."""
     if isinstance(q, SpanMultiTermQuery):
-        expansions = _searcher_expand(searcher, q.query)
+        expansions = searcher.expand(q.query)
         return SpanOrQuery(
             clauses=tuple(SpanTermQuery(field=q.field, term=t) for t, _ in expansions),
             field=q.field,
@@ -458,17 +443,11 @@ class SpanEvaluator:
 def span_search(searcher, q, k: int = 10) -> list[tuple[int, float]]:
     """Top-k span search over a Searcher (actor-pool or in-process: the
     per-segment evaluation runs inside the segment groups)."""
-    import ray as _ray
-
     from .search import merge_top_docs
 
     q = rewrite_span_multiterm(searcher, q)
     terms = sorted(span_terms(q))
     df = searcher._stats_for_terms(terms)
     stats = {"max_doc": searcher.index.max_doc, "sum_ttf": searcher.index.sum_ttf, "df": df}
-    if searcher.use_actors:
-        parts = _ray.get([g.span_partial.remote(q, stats, k) for g in searcher.groups])
-    else:
-        parts = [g.span_partial(q, stats, k) for g in searcher.groups]
-    per_seg = [hits for part in parts for hits in part]
+    per_seg = [hits for part in searcher._call("span_partial", q, stats, k) for hits in part]
     return merge_top_docs(per_seg, k)

@@ -1,6 +1,7 @@
 """Collector operators: sorted search, facets, grouping, filters, MLT,
 CommonTerms, suggest, MemoryIndex, and the Classic (TF-IDF) similarity."""
 
+import inspect
 import math
 
 import numpy as np
@@ -41,7 +42,8 @@ def setup(tmp_path_factory):
     corpus = generate_corpus(300, seed=55)
     idx = str(tmp_path_factory.mktemp("coll_idx"))
     build_index_from_table(
-        corpus, idx, target_rows_per_segment=80, stored_columns=("lang", "repo")
+        corpus, idx, target_rows_per_segment=80, stored_columns=("lang", "repo"),
+        store_term_vectors=True,
     )
     searcher = Searcher(idx, use_actors=False)
     oracle = OracleIndex(corpus.column("content").to_pylist())
@@ -510,3 +512,28 @@ def test_query_rescore(setup):
     same = query_rescore(searcher, first, second_q, weight=0.0)
     assert [(d, np.float32(s)) for d, s in same] == sorted(
         [(d, np.float32(s)) for d, s in first], key=lambda x: (-x[1], x[0]))
+
+
+def test_more_like_this_by_doc(setup):
+    from lucene_net_ray.pipelines.collectors import more_like_this_by_doc
+
+    _, searcher, _ = setup
+    q = more_like_this_by_doc(searcher, 5)
+    assert q.clauses
+    assert 5 in {d for d, _ in searcher.search(q, k=3)}
+
+
+class TestThroughActors:
+    """Every test above that takes ``setup``, again on an actor-backed
+    Searcher over the same index: helpers that reach segments must go
+    through the shards, which are actor handles here."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, setup):
+        corpus, local, oracle = setup
+        return corpus, Searcher(local.index, num_actors=2, use_actors=True), oracle
+
+
+for _name, _test in list(globals().items()):
+    if _name.startswith("test_") and "setup" in inspect.signature(_test).parameters:
+        setattr(TestThroughActors, _name, staticmethod(_test))

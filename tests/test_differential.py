@@ -1,4 +1,4 @@
-"""Differential test: seeded random query trees, four index layouts, one oracle.
+"""Differential test: seeded random query trees, five index layouts, one oracle.
 
 Each tree mixes nested booleans (MUST / SHOULD / MUST_NOT, min_should_match,
 boosts), term, exact-phrase and sloppy-phrase leaves, prefix and wildcard
@@ -7,11 +7,16 @@ expansions, DisMax and ConstantScore. Every tree must give the same top-k
 
   * the in-process ``Searcher`` over a 1-segment index
   * the in-process ``Searcher`` over a multi-segment index of the same docs
+  * the actor-backed ``Searcher`` (2 segment-group actors, the serving
+    default) over that multi-segment index
   * ``MergedSearcher`` over the merged multi-segment index
   * ``ShardedMergedSearcher`` with 2 range actors over that merged index
 
-and, except for fuzzy trees, the same as ``oracle.OracleIndex`` (which has
-no fuzzy path, so fuzzy trees are only compared across the layouts).
+and the same as ``oracle.OracleIndex``. The oracle has no fuzzy path, so a
+fuzzy tree is first rewritten by the searcher (every fuzzy leaf, at any
+depth, becomes its index-wide term expansion) and the term-only tree goes to
+the oracle. A fuzzy leaf wrapped in a non-boolean node must score exactly as
+the bare leaf does.
 """
 
 import random
@@ -28,10 +33,14 @@ from lucene_net_ray.query import (
     BooleanClause,
     BooleanQuery,
     ConstantScoreQuery,
+    BoostingQuery,
     DisjunctionMaxQuery,
+    FilteredQuery,
     FuzzyQuery,
+    MatchAllDocsQuery,
     PhraseQuery,
     PrefixQuery,
+    QueryFilter,
     TermQuery,
     WildcardQuery,
 )
@@ -142,6 +151,7 @@ def layouts(tmp_path_factory):
     searchers = {
         "searcher_1seg": Searcher(one, use_actors=False),
         "searcher_multiseg": Searcher(multi, use_actors=False),
+        "searcher_actors": Searcher(multi, num_actors=2),
         "merged": MergedSearcher(merged),
         "sharded_merged": sharded,
     }
@@ -183,3 +193,42 @@ def test_random_fuzzy_trees_agree_across_layouts(layouts, seed):
             label = f"seed={seed} tree={i} layout={name} vs {base_name} q={q!r}"
             _same(s.search(q, k=K), want, label)
             assert s.count(q) == want_count, label
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_random_fuzzy_trees_match_oracle_after_rewrite(layouts, seed):
+    docs, oracle, searchers = layouts
+    gen = _TreeGen(docs, seed=3000 + seed, fuzzy=True)
+    base = searchers["searcher_1seg"]
+    for i in range(25):
+        q = gen.tree()
+        rq, _stats = base._rewrite_and_stats(q)
+        want, want_count = oracle.top_k(rq, K), oracle.count(rq)
+        for name, s in searchers.items():
+            label = f"seed={seed} tree={i} layout={name} q={q!r}"
+            _same(s.search(q, k=K), want, label)
+            assert s.count(q) == want_count, label
+
+
+FUZZY_LEAVES = (
+    FuzzyQuery(term="alpho", max_edits=1),
+    FuzzyQuery(term="bravx", max_edits=2, prefix_length=1),
+    FuzzyQuery(term="chatm", max_edits=1, boost=2.0),
+)
+
+
+@pytest.mark.parametrize("leaf", FUZZY_LEAVES, ids=lambda f: f.term)
+def test_fuzzy_leaf_under_non_boolean_nodes(layouts, leaf):
+    _, _, searchers = layouts
+    wrapped = {
+        "dismax": DisjunctionMaxQuery(disjuncts=(leaf,), tie_breaker=0.0),
+        "boosting": BoostingQuery(match=leaf, context=TermQuery(term="absentterm"), demote=0.5),
+        "filtered": FilteredQuery(query=leaf, filter=QueryFilter(query=MatchAllDocsQuery())),
+    }
+    for name, s in searchers.items():
+        bare = s.search(leaf, k=K)
+        assert bare and all(score > 0 for _, score in bare), name
+        for kind, q in wrapped.items():
+            label = f"layout={name} wrapper={kind} leaf={leaf!r}"
+            _same(s.search(q, k=K), bare, label)
+            assert s.count(q) == s.count(leaf), label

@@ -183,3 +183,35 @@ def test_multifield_actor_parity(tmp_path):
         ah = actors.search(q, k=8)
         assert [(d, np.float32(s)) for d, s in lh] == [(d, np.float32(s)) for d, s in ah], qs
         assert local.count(q) == actors.count(q)
+
+
+@pytest.mark.parametrize("use_actors", [False, True], ids=["in_process", "actors"])
+def test_fuzzy_boosting_and_multiphrase(mf, use_actors):
+    """Fuzzy leaves expand against their own field, and BoostingQuery and
+    MultiPhraseQuery leaves get per-field stats, in-process and on actors."""
+    from lucene_net_ray.query import BoostingQuery, FuzzyQuery, MultiPhraseQuery
+
+    _, title_oracle, _, out = mf
+    s = MultiFieldSearcher(out, num_actors=2, use_actors=use_actors)
+    alpha = s.search(TermQuery(field="title", term="alpha"), k=10)
+    assert sorted(d for d, _ in alpha) == [0, 2]
+
+    # alpho~1 -> alpha at edit distance 1: boost 1 - 1/5
+    fuzzy = s.search(FuzzyQuery(field="title", term="alpho", max_edits=1), k=10)
+    want = title_oracle.top_k(TermQuery(term="alpha", boost=0.8), 10)
+    assert [(d, np.float32(x)) for d, x in fuzzy] == [(d, np.float32(x)) for d, x in want]
+
+    # context never matches: the match query's hits and scores are unchanged
+    q = BoostingQuery(
+        match=TermQuery(field="title", term="alpha"),
+        context=TermQuery(field="body", term="quickstart"),
+        demote=0.5,
+    )
+    assert s.search(q, k=10) == alpha
+    assert s.count(q) == 2
+
+    mp = MultiPhraseQuery(field="title", positions_terms=(("alpha",), ("api", "release")))
+    hits = s.search(mp, k=10)
+    assert sorted(d for d, _ in hits) == [0, 2]
+    assert all(x > 0 for _, x in hits)
+    assert s.count(mp) == 2
