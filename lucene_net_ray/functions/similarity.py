@@ -20,6 +20,7 @@ The classes here are the Similarity plug-ins of ``pipelines.scorer.SegmentScorer
 from __future__ import annotations
 
 import copy
+import functools
 import math
 
 import numpy as np
@@ -48,6 +49,16 @@ def norm_cache(avgdl: np.float32, k1: np.float32 = K1_DEFAULT, b: np.float32 = B
     dl = NORM_TABLE  # float32[256]
     with np.errstate(over="ignore", invalid="ignore"):
         cache = (k1 * ((np.float32(1.0) - b) + (b * dl).astype(np.float32) / np.float32(avgdl))).astype(np.float32)
+    return cache
+
+
+@functools.lru_cache(maxsize=256)
+def _shared_norm_cache(avgdl: float, k1: float, b: float) -> np.ndarray:
+    """norm_cache, built once per (avgdl, k1, b) and shared read-only by
+    every BM25 bound to stats with that avgdl (serving binds one per segment
+    and query)."""
+    cache = norm_cache(np.float32(avgdl), np.float32(k1), np.float32(b))
+    cache.flags.writeable = False
     return cache
 
 
@@ -114,7 +125,7 @@ class BM25(Similarity):
     def bind(self, stats: dict) -> "BM25":
         out = super().bind(stats)
         avgdl = avg_field_length(stats["sum_ttf"], stats["max_doc"])
-        out.cache = norm_cache(avgdl, self.k1, self.b)
+        out.cache = _shared_norm_cache(float(avgdl), float(self.k1), float(self.b))
         return out
 
     def weight(self, terms, boost: float = 1.0, qnorm=None) -> np.float32:

@@ -51,7 +51,7 @@ import ray.data
 
 from ..functions import codec
 from ..state.index import IndexMeta, write_index_manifest
-from ..state.segment import SegmentReader
+from ..state.segment import FifoCache, SegmentReader, postings_elems
 from .search import Searcher, _SegmentGroup
 
 
@@ -629,6 +629,11 @@ class MergedIndexReader:
         self.sum_ttf = self.manifest["sum_ttf"]
         # metrics for scale tests: how many part files each lookup touched
         self.files_read = 0
+        self._stats_cache = FifoCache(self._STATS_CACHE_TERMS)
+        # decoded postings, element-budgeted like SegmentReader's (serving
+        # hits the same head terms on every query; the per-term footer +
+        # row-group read was the merged p50's dominant cost)
+        self._post_cache = FifoCache(self._POSTINGS_CACHE_ELEMS, postings_elems)
 
     # -- part-file navigation ----------------------------------------------
     def _candidate_parts(self, term: str) -> list[int]:
@@ -831,10 +836,9 @@ class MergedIndexReader:
     # head term re-allocates ~100 MB, which this sandbox VM's ~25 MB/s
     # page-fault ceiling turns into seconds per query)
     _POSTINGS_CACHE_ELEMS = 32_000_000
+    _STATS_CACHE_TERMS = 65_536
 
     def term_stats(self, term: str) -> tuple[int, int]:
-        if not hasattr(self, "_stats_cache"):
-            self._stats_cache: dict[str, tuple[int, int]] = {}
         hit = self._stats_cache.get(term)
         if hit is not None:
             return hit
@@ -846,18 +850,10 @@ class MergedIndexReader:
                 int(pa.compute.sum(t.column("df")).as_py()),
                 int(pa.compute.sum(t.column("ttf")).as_py()),
             )
-        if len(self._stats_cache) >= 65536:
-            self._stats_cache.pop(next(iter(self._stats_cache)))
-        self._stats_cache[term] = out
+        self._stats_cache.put(term, out)
         return out
 
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        # decoded-postings FIFO cache, element-budgeted like SegmentReader's
-        # (serving hits the same head terms on every query; the per-term
-        # footer + row-group read was the merged p50's dominant cost)
-        if not hasattr(self, "_post_cache"):
-            self._post_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            self._post_cache_elems = 0
         hit = self._post_cache.get(term)
         if hit is not None:
             return hit
@@ -881,13 +877,7 @@ class MergedIndexReader:
             pos += cd.size
         d.flags.writeable = False
         tf.flags.writeable = False
-        while self._post_cache and self._post_cache_elems + d.size > self._POSTINGS_CACHE_ELEMS:
-            k0 = next(iter(self._post_cache))
-            ed, _etf = self._post_cache.pop(k0)
-            self._post_cache_elems -= ed.size
-        if d.size <= self._POSTINGS_CACHE_ELEMS:
-            self._post_cache[term] = (d, tf)
-            self._post_cache_elems += d.size
+        self._post_cache.put(term, (d, tf))
         return d, tf
 
     @property
@@ -1040,9 +1030,11 @@ class _ShardedMergedReader:
         bases = np.concatenate(([0], np.cumsum(counts)[:-1]))
         self.norms = _LazyNorms(files, bases, counts)
         self._docs_files = files
-        self._post: dict[str, tuple] = {}
-        self._pos: dict[str, tuple] = {}
-        self._stats: dict[str, tuple] = {}
+        # bounded like MergedIndexReader's own caches; an evicted term is
+        # fetched again on its next lookup
+        self._post = FifoCache(MergedIndexReader._POSTINGS_CACHE_ELEMS, postings_elems)
+        self._pos = FifoCache(MergedIndexReader._POSTINGS_CACHE_ELEMS, postings_elems)
+        self._stats = FifoCache(MergedIndexReader._STATS_CACHE_TERMS)
 
     def _covering(self, term: str) -> list[int]:
         return [
@@ -1052,74 +1044,83 @@ class _ShardedMergedReader:
     # -- batched prefetch (one round trip per actor for a whole query) ------
     def prefetch(self, terms: list[str], *, positions: bool = False) -> None:
         positions = positions and self.has_positions
+        self._fetch(
+            [t for t in terms if not (t in self._post and t in self._stats and (not positions or t in self._pos))],
+            positions,
+        )
+
+    def _fetch(self, terms: list[str], positions: bool = False) -> tuple[dict, dict, dict]:
+        """Postings, stats and (with ``positions``) positions of ``terms``
+        with one round trip per covering actor; a term no actor covers is
+        absent from the result. Returns them and caches them."""
         per_actor: dict[int, list[str]] = {}
-        for t in terms:
-            if t in self._post and (not positions or t in self._pos):
-                continue
+        for t in dict.fromkeys(terms):
             for i in self._covering(t):
                 per_actor.setdefault(i, []).append(t)
-        if not per_actor:
-            return
-        # a term fetched earlier without positions is fetched again whole:
-        # drop its cached parts so the straddle concatenation below starts
-        # empty instead of doubling its postings and df
-        for t in {t for ts in per_actor.values() for t in ts}:
-            for cache in (self._post, self._stats, self._pos):
-                cache.pop(t, None)
         futs = []
         for i, ts in per_actor.items():
-            futs.append((i, ts, self._actors[i].postings_many.remote(ts),
+            futs.append((ts, self._actors[i].postings_many.remote(ts),
                          self._actors[i].stats_many.remote(ts),
                          self._actors[i].positions_many.remote(ts) if positions else None))
-        for i, ts, pf, sf, posf in futs:
+        post: dict[str, tuple] = {}
+        stats: dict[str, tuple] = {}
+        pos: dict[str, tuple] = {}
+        for ts, pf, sf, posf in futs:  # actor order == docID order
             posts = ray.get(pf)
-            stats = ray.get(sf)
+            st = ray.get(sf)
             poss = ray.get(posf) if posf is not None else {}
             for t in ts:
                 d, tf = posts[t]
-                if t in self._post:  # term straddles an actor boundary:
-                    d0, tf0 = self._post[t]  # actor order == docID order
+                if t in post:  # term straddles an actor boundary
+                    d0, tf0 = post[t]
                     d, tf = np.concatenate((d0, d)), np.concatenate((tf0, tf))
-                self._post[t] = (d, tf)
-                df, ttf = stats[t]
-                if t in self._stats:
-                    df0, ttf0 = self._stats[t]
-                    df, ttf = df + df0, ttf + ttf0
-                self._stats[t] = (df, ttf)
-                if positions and t in poss:
-                    if t in self._pos:
-                        d0, tf0, fl0, oc0 = self._pos[t]
+                post[t] = (d, tf)
+                df, ttf = st[t]
+                if t in stats:
+                    df, ttf = df + stats[t][0], ttf + stats[t][1]
+                stats[t] = (df, ttf)
+                if t in poss:
+                    if t in pos:
+                        d0, tf0, fl0, oc0 = pos[t]
                         d1, tf1, fl1, oc1 = poss[t]
-                        self._pos[t] = (
+                        pos[t] = (
                             np.concatenate((d0, d1)),
                             np.concatenate((tf0, tf1)),
                             np.concatenate((fl0, fl1)),
                             np.concatenate((oc0, oc1[1:] + oc0[-1])),
                         )
                     else:
-                        self._pos[t] = poss[t]
+                        pos[t] = poss[t]
+        for cache, got in ((self._post, post), (self._stats, stats), (self._pos, pos)):
+            for t, v in got.items():
+                cache.put(t, v)
+        return post, stats, pos
 
     def postings(self, term: str):
-        if term not in self._post:
-            self.prefetch([term])
-        return self._post.get(
-            term, (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        )
+        hit = self._post.get(term)
+        if hit is None:
+            e = np.empty(0, dtype=np.int64)
+            hit = self._fetch([term])[0].get(term, (e, e))
+        return hit
 
     def term_stats(self, term: str):
-        if term not in self._stats:
-            self.prefetch([term])
-        return self._stats.get(term, (0, 0))
+        hit = self._stats.get(term)
+        if hit is None:
+            hit = self._fetch([term])[1].get(term, (0, 0))
+        return hit
 
     @property
     def has_positions(self) -> bool:
         return self.manifest.get("index_options") in ("positions", "offsets")
 
     def positions(self, term: str):
-        if term not in self._pos:
-            self.prefetch([term], positions=True)
-        e = np.empty(0, dtype=np.int64)
-        return self._pos.get(term, (e, e, e, np.zeros(1, dtype=np.int64)))
+        hit = self._pos.get(term)
+        if hit is None and self.has_positions:
+            hit = self._fetch([term], positions=True)[2].get(term)
+        if hit is None:
+            e = np.empty(0, dtype=np.int64)
+            hit = (e, e, e, np.zeros(1, dtype=np.int64))
+        return hit
 
     def terms_in_range(self, lo: str, hi: str) -> np.ndarray:
         futs = [

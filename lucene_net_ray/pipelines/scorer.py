@@ -210,6 +210,69 @@ def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[hit]
 
 
+#: the dense accumulator zeroes one slot per docid up to the largest; it is
+#: used while the clauses hold at least one posting per this many slots
+_DENSE_SLOTS_PER_POSTING = 8
+
+
+def _disjunction_sum(clauses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Union of [(sorted unique docids, float32 scores)] clauses: (docids
+    ascending, float64 score sums, int32 match counts). A doc's sum is its
+    clauses' scores added in clause order to a float64 zero, the
+    DisjunctionSumScorer accumulator (DisjunctionSumScorer.cs:80-83); a
+    clause scoring 0 still counts as a match.
+
+    Dense clauses accumulate into a table indexed by docid, BooleanScorer's
+    bucket table (Search/BooleanScorer.cs:59-90), with no sort; sparse ones
+    into their sorted union. Both are exact: docids are unique within a
+    clause, so a fancy-index ``+=`` adds each score once. The table is sized
+    from the clauses, not from a reader, so it fits any docid space."""
+    clauses = [(d, s) for d, s in clauses if d.size]
+    if not clauses:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int32)
+    n = max(int(d[-1]) for d, _ in clauses) + 1
+    if sum(d.size for d, _ in clauses) * _DENSE_SLOTS_PER_POSTING >= n:
+        acc = np.zeros(n, dtype=np.float64)
+        cnt = np.zeros(n, dtype=np.int32)
+        for d, s in clauses:
+            acc[d] += s
+            cnt[d] += 1
+        docs = np.flatnonzero(cnt)
+        return docs, acc[docs], cnt[docs]
+    docs = np.unique(np.concatenate([d for d, _ in clauses]))
+    acc = np.zeros(docs.size, dtype=np.float64)
+    cnt = np.zeros(docs.size, dtype=np.int32)
+    for d, s in clauses:
+        ix = np.searchsorted(docs, d)
+        acc[ix] += s
+        cnt[ix] += 1
+    return docs, acc, cnt
+
+
+def top_k_order(docs: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the best ``k`` hits by (score desc, docid asc): exactly
+    ``np.lexsort((docs, -scores))[:k]``, ties, infinities and -0.0 included.
+    ``np.partition`` finds the k-th best score and only the hits at least as
+    good are sorted, as TopScoreDocCollector keeps only hits that beat its
+    queue's bottom. NaN, which no threshold orders, takes the full sort."""
+    neg = -scores
+    if not 0 < k < neg.size or np.isnan(neg).any():
+        return np.lexsort((docs, neg))[:k]
+    cand = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+    return cand[np.lexsort((docs[cand], neg[cand]))[:k]]
+
+
+def top_hits(docs, scores, k: int, search_after=None, doc_base: int = 0) -> list[tuple[int, float]]:
+    """[(docid + doc_base, score)] of the best ``k`` local hits ranked after
+    the ``search_after`` cursor (score, global docid), if one is given."""
+    if search_after is not None:
+        a_score = np.float32(search_after[0])
+        a_doc = search_after[1] - doc_base
+        m = (scores < a_score) | ((scores == a_score) & (docs > a_doc))
+        docs, scores = docs[m], scores[m]
+    return [(int(docs[i]) + doc_base, float(scores[i])) for i in top_k_order(docs, scores, k)]
+
+
 def expand_multiterm(reader: SegmentReader, q: Query) -> list[tuple[str, float]]:
     """Matching (term, boost) pairs from this segment's term dict.
 
@@ -815,13 +878,11 @@ class SegmentScorer:
         evals = [(d, s) for d, s in evals if d.size]
         if not evals:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-        union = np.unique(np.concatenate([d for d, _ in evals]))
+        union, ssum, _ = _disjunction_sum(evals)
         smax = np.full(union.size, -np.inf, dtype=np.float32)
-        ssum = np.zeros(union.size, dtype=np.float64)
         for d, s in evals:
             ix = np.searchsorted(union, d)
-            np.maximum.at(smax, ix, s)
-            np.add.at(ssum, ix, s.astype(np.float64))
+            smax[ix] = np.maximum(smax[ix], s)
         tie = np.float32(q.tie_breaker)
         scores = (smax + tie * (ssum.astype(np.float32) - smax)).astype(np.float32)
         if q.boost != 1.0:
@@ -861,18 +922,8 @@ class SegmentScorer:
         # --- optional side: union, double-accumulated sum, match counts ----
         opt_docs = opt_scores = opt_counts = None
         if should_evals:
-            all_docs = np.concatenate([d for d, _ in should_evals]) if should_evals else np.empty(0, dtype=np.int64)
-            opt_docs = np.unique(all_docs)
-            acc = np.zeros(opt_docs.size, dtype=np.float64)
-            cnt = np.zeros(opt_docs.size, dtype=np.int32)
-            for d, s in should_evals:
-                if d.size == 0:
-                    continue
-                idx = np.searchsorted(opt_docs, d)
-                np.add.at(acc, idx, s.astype(np.float64))
-                np.add.at(cnt, idx, 1)
+            opt_docs, acc, opt_counts = _disjunction_sum(should_evals)
             opt_scores = acc.astype(np.float32)
-            opt_counts = cnt
 
         # --- combine -------------------------------------------------------
         if req_docs is not None:
@@ -939,16 +990,7 @@ class SegmentScorer:
         if exclude_local is not None and exclude_local.size:
             docs, scores = self.evaluate(q)
             keep = ~np.isin(docs, exclude_local, assume_unique=True)
-            docs, scores = docs[keep], scores[keep]
-            if search_after is not None:
-                a_score = np.float32(search_after[0])
-                a_doc = search_after[1] - self.reader.doc_base
-                m = (scores < a_score) | ((scores == a_score) & (docs > a_doc))
-                docs, scores = docs[m], scores[m]
-            if docs.size == 0:
-                return []
-            order = np.lexsort((docs, -scores))[:k]
-            return [(int(docs[i]) + self.reader.doc_base, float(scores[i])) for i in order]
+            return top_hits(docs[keep], scores[keep], k, search_after, self.reader.doc_base)
         if mode == "wand" and self.sim.block_bound is None:
             raise ValueError(f"{type(self.sim).__name__} has no WAND bound")
         if mode in ("auto", "wand") and self.sim.block_bound is not None:
@@ -970,17 +1012,7 @@ class SegmentScorer:
             elif mode == "wand":
                 raise ValueError(f"query not WAND-eligible: {q!r}")
         docs, scores = self.evaluate(q)
-        if search_after is not None:
-            a_score = np.float32(search_after[0])
-            a_doc = search_after[1] - self.reader.doc_base
-            mask = (scores < a_score) | ((scores == a_score) & (docs > a_doc))
-            docs, scores = docs[mask], scores[mask]
-        if docs.size == 0:
-            return []
-        order = np.lexsort((docs, -scores))[:k]
-        return [
-            (int(docs[i]) + self.reader.doc_base, float(scores[i])) for i in order
-        ]
+        return top_hits(docs, scores, k, search_after, self.reader.doc_base)
 
     def count(self, q: Query) -> int:
         docs, _ = self.evaluate(q)

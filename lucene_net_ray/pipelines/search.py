@@ -29,6 +29,7 @@ a disjoint group of segments; global stats are one small gather per query
 from __future__ import annotations
 
 import heapq
+import itertools
 import os
 
 import numpy as np
@@ -37,7 +38,7 @@ import ray
 from ..query import BooleanClause, BooleanQuery, FuzzyQuery, Query, TermQuery
 from ..state.index import IndexMeta
 from ..state.segment import SegmentReader
-from .scorer import SegmentScorer, expand_multiterm, map_leaves, query_fields, query_terms
+from .scorer import SegmentScorer, expand_multiterm, map_leaves, query_fields, query_terms, top_hits, top_k_order
 
 
 def _sort_key_fn(sort_fields):
@@ -177,16 +178,7 @@ class _SegmentGroup:
         if dels.size and docs.size:
             keep = ~_np.isin(docs, dels, assume_unique=True)
             docs, scores = docs[keep], scores[keep]
-        docs, scores = docs[:early_docs], scores[:early_docs]  # docID-ordered
-        if search_after is not None:
-            a_score = _np.float32(search_after[0])
-            a_doc = search_after[1] - r.doc_base
-            m = (scores < a_score) | ((scores == a_score) & (docs > a_doc))
-            docs, scores = docs[m], scores[m]
-        if docs.size == 0:
-            return []
-        order = _np.lexsort((docs, -scores))[:k]
-        return [(int(docs[i]) + r.doc_base, float(scores[i])) for i in order]
+        return top_hits(docs[:early_docs], scores[:early_docs], k, search_after, r.doc_base)
 
     def top_k_many(self, items: list[tuple[Query, dict]], k: int) -> list[list[tuple[int, float]]]:
         """Evaluate many (query, stats) pairs in ONE actor round-trip — the
@@ -390,7 +382,7 @@ class _SegmentGroup:
             if dels.size and docs.size:
                 keep = ~_np.isin(docs, dels, assume_unique=True)
                 docs, scores = docs[keep], scores[keep]
-            order = _np.lexsort((docs, -scores))[:k]
+            order = top_k_order(docs, scores, k)
             out.append([(int(docs[i]) + r.doc_base, float(scores[i])) for i in order])
         return out
 
@@ -406,7 +398,7 @@ class _SegmentGroup:
             vals = {f: r.doc_values(f)[docs] for f in fields}
             new_scores = _np.asarray(score_fn(scores, vals), dtype=_np.float64)
             gids = docs + r.doc_base
-            order = _np.lexsort((gids, -new_scores))[:window]
+            order = top_k_order(gids, new_scores, window)
             rows.extend((int(gids[i]), float(new_scores[i])) for i in order)
         return rows
 
@@ -447,7 +439,7 @@ class _SegmentGroup:
                 vals[f"__query:{qstr}"] = _align(qdocs, qscores, docs, defval)
             new_scores = _np.asarray(score_fn(scores, vals), dtype=_np.float64)
             gids = docs + r.doc_base
-            order = _np.lexsort((gids, -new_scores))[:window]
+            order = top_k_order(gids, new_scores, window)
             rows.extend((int(gids[i]), float(new_scores[i])) for i in order)
         return rows
 
@@ -624,6 +616,8 @@ class Searcher:
     ``_SegmentGroup`` over segments or a merged reader, a multi-field group,
     or the actor handle of one. use_actors=False runs in-process (tests)."""
 
+    _DF_CACHE_TERMS = 65_536
+
     def __init__(
         self,
         index: IndexMeta | str,
@@ -741,12 +735,20 @@ class Searcher:
         for stats in self._call("term_stats", calls=sends):
             for t, (d, _tt) in stats.items():
                 agg[t] += d
-        self._df_cache.update(agg)
+        # FIFO-bounded; room is made before inserting, so no term of this
+        # gather evicts another (one larger gather overshoots until the next)
+        cache = self._df_cache
+        for t in list(itertools.islice(cache, max(0, len(cache) + len(agg) - self._DF_CACHE_TERMS))):
+            del cache[t]
+        cache.update(agg)
 
     def _stats_for_terms(self, terms: list[str]) -> dict[str, int]:
         """Global df for arbitrary terms (cached; used by MLT/CommonTerms/suggest)."""
-        self._gather_df([t for t in terms if t not in self._df_cache])
-        return {t: self._df_cache[t] for t in terms}
+        df = {t: self._df_cache.get(t) for t in terms}  # before the gather evicts
+        missing = [t for t, d in df.items() if d is None]
+        self._gather_df(missing)
+        df.update((t, self._df_cache[t]) for t in missing)
+        return df
 
     def search(
         self,

@@ -30,6 +30,7 @@ import numpy as np
 
 from ..functions.similarity import Similarity
 from ..state.segment import SegmentReader
+from .scorer import _disjunction_sum, top_k_order
 
 
 def wand_top_k(
@@ -131,11 +132,7 @@ def wand_top_k(
         if len(zone_docs) == 1:
             uniq, final = zone_docs[0], zone_scores[0]
         else:
-            alld = np.concatenate(zone_docs)
-            alls = np.concatenate(zone_scores)
-            uniq = np.unique(alld)
-            acc = np.zeros(uniq.size, dtype=np.float64)
-            np.add.at(acc, np.searchsorted(uniq, alld), alls.astype(np.float64))
+            uniq, acc, _ = _disjunction_sum(zip(zone_docs, zone_scores))
             final = acc.astype(np.float32)
         if a_score is not None:
             keep = (final < a_score) | ((final == a_score) & (uniq > a_doc))
@@ -184,18 +181,14 @@ def _exhaustive_top_k(
     if len(docs_l) == 1:
         uniq, final = docs_l[0], scores_l[0]
     else:
-        alld = np.concatenate(docs_l)
-        alls = np.concatenate(scores_l)
-        uniq = np.unique(alld)
-        acc = np.zeros(uniq.size, dtype=np.float64)
-        np.add.at(acc, np.searchsorted(uniq, alld), alls.astype(np.float64))
+        uniq, acc, _ = _disjunction_sum(zip(docs_l, scores_l))
         final = acc.astype(np.float32)
     if search_after is not None:
         a_score = np.float32(search_after[0])
         a_doc = search_after[1] - reader.doc_base
         keep = (final < a_score) | ((final == a_score) & (uniq > a_doc))
         uniq, final = uniq[keep], final[keep]
-    idx = np.lexsort((uniq, -final))[:k]
+    idx = top_k_order(uniq, final, k)
     return [(int(uniq[i]), float(final[i])) for i in idx]
 
 

@@ -596,6 +596,38 @@ def write_terms_and_postings(
     }
 
 
+def _one(_value) -> int:
+    return 1
+
+
+def postings_elems(post) -> int:
+    """Cache cost of (docids, tfs[, flat positions, offsets]): its docids,
+    plus its positions when it has them."""
+    return post[0].size + (post[2].size if len(post) > 2 else 0)
+
+
+class FifoCache(dict):
+    """A dict that holds at most ``budget`` units, ``cost(value)`` units an
+    entry (one by default). ``put`` evicts the oldest entries first to make
+    room, and keeps no value that costs more than the whole budget (its
+    caller still returns it); insert only through ``put``."""
+
+    def __init__(self, budget: int, cost=_one):
+        super().__init__()
+        self.budget, self.cost, self.used = budget, cost, 0
+
+    def put(self, key, value) -> None:
+        if key in self:
+            self.used -= self.cost(self.pop(key))
+        c = self.cost(value)
+        if c > self.budget:
+            return
+        while self and self.used + c > self.budget:
+            self.used -= self.cost(self.pop(next(iter(self))))
+        self[key] = value
+        self.used += c
+
+
 class SegmentReader:
     """Read-side view of one segment: term dict in RAM, postings via mmap."""
 
@@ -622,6 +654,7 @@ class SegmentReader:
         self.sum_ttf = self.meta["sum_ttf"]
         self._post = np.memmap(os.path.join(seg_dir, "postings.bin"), dtype=np.uint8, mode="r") \
             if os.path.getsize(os.path.join(seg_dir, "postings.bin")) else np.empty(0, dtype=np.uint8)
+        self._post_cache = FifoCache(self._POSTINGS_CACHE_ELEMS, postings_elems)
 
     @property
     def term_bloom(self):
@@ -737,9 +770,6 @@ class SegmentReader:
     _POSTINGS_CACHE_ELEMS = 4_000_000  # ~64 MB of int64 pairs per reader
 
     def postings_by_index(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        if not hasattr(self, "_post_cache"):
-            self._post_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            self._post_cache_elems = 0
         hit = self._post_cache.get(i)
         if hit is not None:
             return hit
@@ -748,13 +778,7 @@ class SegmentReader:
         d, tf = codec.decode_postings(self._post[do : do + dl], self._post[fo : fo + fl])
         d.flags.writeable = False
         tf.flags.writeable = False
-        while self._post_cache and self._post_cache_elems + d.size > self._POSTINGS_CACHE_ELEMS:
-            k0 = next(iter(self._post_cache))  # FIFO eviction
-            ed, _etf = self._post_cache.pop(k0)
-            self._post_cache_elems -= ed.size
-        if d.size <= self._POSTINGS_CACHE_ELEMS:
-            self._post_cache[i] = (d, tf)
-            self._post_cache_elems += d.size
+        self._post_cache.put(i, (d, tf))
         return d, tf
 
     def positions(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -263,3 +263,53 @@ def test_sharded_merged_searcher_equals_local(setup):
         q = parse_query(qs)
         assert sharded.search(q, k=10) == local.search(q, k=10), qs
         assert sharded.count(q) == local.count(q), qs
+
+
+def test_serving_caches_are_bounded(setup, monkeypatch):
+    """The driver's df cache and the merged and range-sharded readers' term
+    caches are FIFO-bounded (patched down to a few entries here): answers
+    stay the same, no term a call returns is evicted by that call, and an
+    evicted or oversized postings entry is fetched again, never served empty."""
+    from lucene_net_ray.pipelines.merge import MergedIndexReader, ShardedMergedSearcher
+
+    _, merged_dir, oracle = setup
+    queries = ["public", "query token score", "+public +query", "zyzzyva public", "query~1"]
+    ref = MergedSearcher(merged_dir)
+    want = {q: ref.search(parse_query(q), k=10) for q in queries}
+    words = {w for q in queries for w in q.replace("+", "").replace("~1", "").split()}
+    mid = sorted((t for t in oracle.df if t not in words), key=lambda t: (oracle.df[t], t))[:8]
+    head = max(oracle.df, key=oracle.df.get)
+    want_post = {t: ref.reader.postings(t) for t in mid + [head]}
+
+    monkeypatch.setattr(Searcher, "_DF_CACHE_TERMS", 3)
+    monkeypatch.setattr(MergedIndexReader, "_STATS_CACHE_TERMS", 3)
+    monkeypatch.setattr(MergedIndexReader, "_POSTINGS_CACHE_ELEMS", 100)
+    merged = MergedSearcher(merged_dir)
+    sharded = ShardedMergedSearcher(merged_dir, num_actors=2)
+    for s in (merged, sharded):
+        for _ in range(2):
+            for q in queries:
+                assert s.search(parse_query(q), k=10) == want[q], q
+        s._df_cache.clear()
+        assert s._stats_for_terms(mid[:3]) == {t: oracle.df[t] for t in mid[:3]}
+        # four new terms make room by evicting mid[0], which this call returns
+        assert s._stats_for_terms([mid[0]] + mid[3:7]) == {t: oracle.df[t] for t in [mid[0]] + mid[3:7]}
+        assert len(s._df_cache) == 4  # one gather larger than the bound overshoots it
+        s._stats_for_terms([mid[7]])
+        assert len(s._df_cache) == 3
+
+    readers = [
+        (merged.reader, merged.reader._post_cache, merged.reader._stats_cache),
+        (sharded.reader, sharded.reader._post, sharded.reader._stats),
+    ]
+    for r, post_cache, stats_cache in readers:
+        for t in mid:
+            r.postings(t)
+            r.term_stats(t)
+        assert post_cache.used <= 100 and len(stats_cache) <= 3
+        assert mid[0] not in post_cache and mid[0] not in stats_cache
+        for t in mid + [head]:
+            d, tf = r.postings(t)
+            assert np.array_equal(d, want_post[t][0]) and np.array_equal(tf, want_post[t][1]), t
+            assert r.term_stats(t)[0] == oracle.df[t], t
+        assert head not in post_cache  # more postings than the whole budget
