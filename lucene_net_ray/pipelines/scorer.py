@@ -211,7 +211,10 @@ def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 #: the dense accumulator zeroes one slot per docid up to the largest; it is
-#: used while the clauses hold at least one posting per this many slots
+#: used while the clauses hold at least one posting per this many slots.
+#: Timed on 2 and 4 random clauses over 6 000 docids (1 CPU), the sparse
+#: path took 2.7x the dense one at 1 slot per posting, 1.1x at 8 and 0.95x
+#: at 16; serve_bulk's OR queries, a head term each, all take the dense path
 _DENSE_SLOTS_PER_POSTING = 8
 
 

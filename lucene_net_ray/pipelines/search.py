@@ -29,7 +29,6 @@ a disjoint group of segments; global stats are one small gather per query
 from __future__ import annotations
 
 import heapq
-import itertools
 import os
 
 import numpy as np
@@ -37,7 +36,7 @@ import ray
 
 from ..query import BooleanClause, BooleanQuery, FuzzyQuery, Query, TermQuery
 from ..state.index import IndexMeta
-from ..state.segment import SegmentReader
+from ..state.segment import FifoCache, SegmentReader
 from .scorer import SegmentScorer, expand_multiterm, map_leaves, query_fields, query_terms, top_hits, top_k_order
 
 
@@ -631,7 +630,7 @@ class Searcher:
         False."""
         self.index = index if isinstance(index, IndexMeta) else IndexMeta(index)
         self.field = self.index.manifest.get("content_column", "content")
-        self._df_cache: dict[str, int] = {}
+        self._df_cache = FifoCache(self._DF_CACHE_TERMS)
         self.use_term_bloom = True  # driver-side Codecs/Bloom fan-out skip
         self._group_blooms_cache = None
         self.use_actors = use_actors
@@ -714,13 +713,14 @@ class Searcher:
             self._group_blooms_cache = self._call("bloom_union")
         return self._group_blooms_cache
 
-    def _gather_df(self, missing: list[str]) -> None:
-        """Fill the df cache for ``missing`` terms with ONE fan-out, skipping
-        groups whose bloom says 'definitely absent' (BloomFilteringPostings-
+    def _gather_df(self, missing: list[str]) -> dict[str, int]:
+        """Global df of ``missing`` terms with ONE fan-out, skipping groups
+        whose bloom says 'definitely absent' (BloomFilteringPostings-
         Format's reason to exist: fuzzy/spell candidate storms and PK-style
-        probes mostly ask for terms that aren't there)."""
+        probes mostly ask for terms that aren't there). Caches what it
+        returns."""
         if not missing:
-            return
+            return {}
         agg = {t: 0 for t in missing}
         sends: list[tuple] = []
         blooms = self._group_blooms if self.use_term_bloom else [None] * len(self.groups)
@@ -735,19 +735,14 @@ class Searcher:
         for stats in self._call("term_stats", calls=sends):
             for t, (d, _tt) in stats.items():
                 agg[t] += d
-        # FIFO-bounded; room is made before inserting, so no term of this
-        # gather evicts another (one larger gather overshoots until the next)
-        cache = self._df_cache
-        for t in list(itertools.islice(cache, max(0, len(cache) + len(agg) - self._DF_CACHE_TERMS))):
-            del cache[t]
-        cache.update(agg)
+        for t, d in agg.items():
+            self._df_cache.put(t, d)
+        return agg
 
     def _stats_for_terms(self, terms: list[str]) -> dict[str, int]:
         """Global df for arbitrary terms (cached; used by MLT/CommonTerms/suggest)."""
-        df = {t: self._df_cache.get(t) for t in terms}  # before the gather evicts
-        missing = [t for t, d in df.items() if d is None]
-        self._gather_df(missing)
-        df.update((t, self._df_cache[t]) for t in missing)
+        df = {t: self._df_cache.get(t) for t in terms}
+        df.update(self._gather_df([t for t, d in df.items() if d is None]))
         return df
 
     def search(

@@ -601,9 +601,10 @@ def _one(_value) -> int:
 
 
 def postings_elems(post) -> int:
-    """Cache cost of (docids, tfs[, flat positions, offsets]): its docids,
-    plus its positions when it has them."""
-    return post[0].size + (post[2].size if len(post) > 2 else 0)
+    """Cache cost of (docids, tfs[, flat positions, offsets]): one for the
+    entry itself, so an empty one (an absent term) still counts, plus its
+    docids and, when it has them, its positions."""
+    return 1 + post[0].size + (post[2].size if len(post) > 2 else 0)
 
 
 class FifoCache(dict):
@@ -626,6 +627,10 @@ class FifoCache(dict):
             self.used -= self.cost(self.pop(next(iter(self))))
         self[key] = value
         self.used += c
+
+    def clear(self) -> None:
+        super().clear()
+        self.used = 0
 
 
 class SegmentReader:

@@ -294,9 +294,9 @@ def test_serving_caches_are_bounded(setup, monkeypatch):
         assert s._stats_for_terms(mid[:3]) == {t: oracle.df[t] for t in mid[:3]}
         # four new terms make room by evicting mid[0], which this call returns
         assert s._stats_for_terms([mid[0]] + mid[3:7]) == {t: oracle.df[t] for t in [mid[0]] + mid[3:7]}
-        assert len(s._df_cache) == 4  # one gather larger than the bound overshoots it
+        assert list(s._df_cache) == mid[4:7]
         s._stats_for_terms([mid[7]])
-        assert len(s._df_cache) == 3
+        assert list(s._df_cache) == mid[5:8]
 
     readers = [
         (merged.reader, merged.reader._post_cache, merged.reader._stats_cache),
@@ -313,3 +313,12 @@ def test_serving_caches_are_bounded(setup, monkeypatch):
             assert np.array_equal(d, want_post[t][0]) and np.array_equal(tf, want_post[t][1]), t
             assert r.term_stats(t)[0] == oracle.df[t], t
         assert head not in post_cache  # more postings than the whole budget
+
+    # absent terms inside the actors' term ranges: an empty entry costs a unit
+    absent = [t + s for t in sorted(oracle.df) for s in ("qx", "qy") if t + s not in oracle.df][:150]
+    assert len(absent) > 100
+    r = sharded.reader
+    r.prefetch(absent)
+    assert len(r._post) <= r._post.used <= 100 and len(r._stats) <= 3
+    for t in absent[:2] + absent[-2:]:
+        assert r.postings(t)[0].size == 0 and r.term_stats(t) == (0, 0), t
