@@ -18,9 +18,7 @@ vectorizes over Arrow string arrays without a per-term Python loop (the
 build-side cost at millions of terms/segment). Downsizing works by folding
 set-bit positions with the smaller mask, exactly the reference's
 projection: ``pos & smaller_mask`` can only KEEP may-contain answers, so
-no-false-negatives is preserved by construction (and unions of same-sized
-sets stay valid, which is what lets per-segment sets OR into one per-group
-set for the driver-side fan-out skip).
+no-false-negatives is preserved by construction.
 """
 
 from __future__ import annotations
@@ -136,20 +134,6 @@ class FuzzySet:
         words = np.zeros((mask + 1) // 64, dtype=np.uint64)
         np.bitwise_or.at(words, positions >> 6, np.uint64(1) << (positions & 63).astype(np.uint64))
         return FuzzySet(words, mask)
-
-    def union(self, other: "FuzzySet") -> "FuzzySet":
-        """OR two sets; different sizes fold the larger down first (valid
-        because folding preserves may-contain)."""
-        a, b = self, other
-        if a.mask > b.mask:
-            a, b = b, a
-        if b.mask > a.mask:
-            positions = np.flatnonzero(np.unpackbits(b.words.view(np.uint8), bitorder="little"))
-            positions = np.unique(positions & a.mask)
-            folded = np.zeros(a.words.size, dtype=np.uint64)
-            np.bitwise_or.at(folded, positions >> 6, np.uint64(1) << (positions & 63).astype(np.uint64))
-            b = FuzzySet(folded, a.mask)
-        return FuzzySet(a.words | b.words, a.mask)
 
     # -- persistence ------------------------------------------------------------
     def save(self, path: str) -> None:

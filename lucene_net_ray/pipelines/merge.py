@@ -52,7 +52,7 @@ import ray.data
 from ..functions import codec
 from ..state.index import IndexMeta, write_index_manifest
 from ..state.segment import FifoCache, SegmentReader, postings_elems
-from .search import Searcher, _SegmentGroup
+from .search import SERVING_ACTOR_OPTIONS, Searcher, _SegmentGroup
 
 
 def _blob_array(buf: np.ndarray, offs: np.ndarray, lens: np.ndarray) -> pa.LargeBinaryArray:
@@ -976,7 +976,7 @@ class MergedSearcher(Searcher):
         super().__init__(out_dir, use_actors=False, groups=[_SegmentGroup([self.reader])])
 
 
-@ray.remote
+@ray.remote(**SERVING_ACTOR_OPTIONS)
 class MergedRangeActor:
     """Serves a CONTIGUOUS term-range slice of a merged index: the actor's
     MergedIndexReader is trimmed to its part files, so resident memory is

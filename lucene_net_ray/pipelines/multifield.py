@@ -24,7 +24,7 @@ from ..query import Query, TermQuery
 from ..state.index import IndexMeta
 from ..state.segment import SegmentReader
 from .scorer import FIELD_LEAVES, SegmentScorer, query_field_terms
-from .search import Searcher, _SegmentGroup
+from .search import SERVING_ACTOR_OPTIONS, Searcher, _SegmentGroup
 
 
 def build_multi_field_index(
@@ -113,6 +113,11 @@ class _MultiFieldGroup:
             {f: g.readers[si] for f, g in sorted(self.by_field.items())} for si in range(n_segments)
         ]
 
+    def term_dfs(self) -> None:
+        """No global term table: MultiFieldSearcher assembles its own
+        per-field stats."""
+        return None
+
     def term_stats(self, wanted: dict[str, list[str]]) -> dict[str, dict[str, int]]:
         return {
             f: {t: d for t, (d, _tt) in self.by_field[f].term_stats(terms).items()}
@@ -141,7 +146,7 @@ class _MultiFieldGroup:
 
 import ray as _ray  # noqa: E402
 
-MultiFieldGroupActor = _ray.remote(_MultiFieldGroup)
+MultiFieldGroupActor = _ray.remote(**SERVING_ACTOR_OPTIONS)(_MultiFieldGroup)
 
 
 class MultiFieldSearcher(Searcher):

@@ -222,6 +222,27 @@ def _kmeans_cosine(sample: np.ndarray, n_clusters: int, iters: int, seed: int) -
     return cents
 
 
+def _training_sample(ds: ray.data.Dataset, n: int, id_column: str, vec_column: str) -> np.ndarray:
+    """About ``n`` normalized vectors of ``ds``, chosen and ordered by their
+    ids alone, so k-means trains on the same sample in the same order
+    however the Dataset's blocks arrive (a ``limit`` keeps whichever rows
+    come first): every row when ``ds`` holds at most ``n``, else the rows
+    whose hashed id falls in one of ceil(count / n) buckets. Rows are sorted
+    by id; only the sample reaches the driver."""
+    stride = np.uint64(max(1, -(-ds.count() // n)))
+    cols = ds.select_columns([id_column, vec_column])
+    if stride > 1:
+
+        def pick(batch: pa.Table) -> pa.Table:
+            ids = batch.column(id_column).to_numpy().astype(np.uint64)
+            h = (ids * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(32)  # Fibonacci hash
+            return batch.filter(pa.array(h % stride == 0))
+
+        cols = cols.map_batches(pick, batch_format="pyarrow")
+    rows = sorted(cols.take_all(), key=lambda r: r[id_column])[:n]
+    return _normalize(np.asarray([r[vec_column] for r in rows], dtype=np.float64))
+
+
 def ivf_topk(
     ds: ray.data.Dataset,
     queries: np.ndarray,
@@ -238,7 +259,7 @@ def ivf_topk(
 ) -> list[dict]:
     """IVF (inverted-file) approximate cosine top-k — the coarse-quantizer
     scale path next to LSH: spherical k-means over a BOUNDED training sample
-    (only `train_sample` rows ever reach the driver), centroids broadcast
+    (about `train_sample` rows, picked by id, reach the driver), centroids broadcast
     once via ray.put, every batch scores only rows whose cluster is among
     each query's `n_probe` nearest centroids, and the global answer reduces
     through the same groupby(query_id).map_groups as brute force. Per-query
@@ -248,8 +269,7 @@ def ivf_topk(
     qn = _normalize(q)
     qids = query_ids or list(range(q.shape[0]))
 
-    sample_rows = ds.select_columns([vec_column]).limit(train_sample).take_all()
-    sample = _normalize(np.asarray([r[vec_column] for r in sample_rows], dtype=np.float64))
+    sample = _training_sample(ds, train_sample, id_column, vec_column)
     cents = _kmeans_cosine(sample, n_clusters, iters, seed)
     cents_ref = ray.put(cents)
     qn_ref = ray.put(qn)

@@ -848,6 +848,11 @@ class SegmentReader:
         return self._term_np
 
     @property
+    def term_column(self) -> pa.Array:
+        """The sorted term dict as the Arrow string column it was read as."""
+        return self._terms
+
+    @property
     def df_array(self) -> np.ndarray:
         return self._df
 

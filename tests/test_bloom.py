@@ -4,7 +4,8 @@ Contract pinned from the reference
 (Codecs/Bloom/FuzzySet.cs, DefaultBloomFilterFactory.cs,
 BloomFilteringPostingsFormat.cs): never a false negative; sized to ~10%
 saturation and downsized before save; not saved when >90% full; used to
-answer 'definitely absent' before touching the term dictionary.
+answer 'definitely absent' before touching the term dictionary (a segment
+group's term_stats). The searcher's own df lookups go to its term table.
 """
 
 import numpy as np
@@ -27,15 +28,17 @@ def test_no_false_negatives_and_bounded_fp():
     assert s.saturation() <= 0.11
 
 
-def test_downsize_and_union_preserve_membership():
+def test_downsize_preserves_membership():
+    big = FuzzySet.create_for_quality(50_000)
+    big.add_many(["x", "y", "z"])
+    small = big.downsize()
+    assert small.mask < big.mask  # three terms fold into the smallest set
+    assert small.may_contain_many(["x", "y", "z"]).all()
     a = build_term_bloom([f"a{i}" for i in range(1000)])
     b = build_term_bloom(["x", "y", "z"])  # much smaller set
-    assert a.mask != b.mask
-    u = a.union(b)
-    assert u.may_contain_many([f"a{i}" for i in range(1000)]).all()
-    assert u.may_contain("x") and u.may_contain("z")
-    # union folds to the SMALLER mask
-    assert u.mask == min(a.mask, b.mask)
+    assert a.mask > b.mask
+    assert a.may_contain_many([f"a{i}" for i in range(1000)]).all()
+    assert b.may_contain("x") and b.may_contain("z")
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -95,47 +98,41 @@ def test_build_writes_bloom_and_reader_loads(bloom_index):
 
 def test_group_term_stats_with_bloom_exact(bloom_index):
     s = Searcher(bloom_index, use_actors=False)
-    # per-group stats agree with brute force for present + absent terms
+    # the driver's term table and the groups' bloom-skipping term_stats both
+    # agree with brute force for present + absent terms
     probe = ["alpha", "charlie", "shared", "doc5", "doc25", "zyzzyva", "qqq"]
-    got = s._stats_for_terms(probe)
     want = {"alpha": 20, "charlie": 20, "shared": 40, "doc5": 1, "doc25": 1,
             "zyzzyva": 0, "qqq": 0}
-    assert got == want
+    assert s._stats_for_terms(probe) == want
+    summed = dict.fromkeys(probe, 0)
+    for g in s.groups:
+        for t, (df, _ttf) in g.term_stats(probe).items():
+            summed[t] += df
+    assert summed == want
 
 
-def test_driver_fanout_skips_absent_terms(bloom_index):
+def test_df_lookup_makes_no_fanout(bloom_index):
+    """Once the term table is loaded, df of present and absent terms comes
+    from the driver alone: no shard is called."""
     s = Searcher(bloom_index, use_actors=False)
+    assert s._df_table is not None
     calls = []
-    orig = {}
-    for g in s.groups:
-        orig[id(g)] = g.term_stats
-    import types
-
-    for g in s.groups:
-        real = g.term_stats
-
-        def counted(terms, _real=real, _g=g):
-            calls.append((id(_g), tuple(terms)))
-            return _real(terms)
-
-        g.term_stats = counted
-    # all-absent probe: bloom answers every group, zero fan-out (unless a
-    # false positive sneaks one through — then the sent list is tiny)
-    got = s._stats_for_terms(["zzzz-not-there-1", "zzzz-not-there-2"])
-    assert got == {"zzzz-not-there-1": 0, "zzzz-not-there-2": 0}
-    sent = sum(len(ts) for _, ts in calls)
-    assert sent <= 1, f"bloom should have skipped the fan-out, sent {calls}"
-    for g in s.groups:
-        g.term_stats = orig[id(g)]
+    real = s._call
+    s._call = lambda method, *args: calls.append(method) or real(method, *args)
+    got = s._stats_for_terms(["zzzz-not-there-1", "alpha", "zzzz-not-there-2"])
+    assert got == {"zzzz-not-there-1": 0, "alpha": 20, "zzzz-not-there-2": 0}
+    assert calls == []
 
 
-def test_search_results_identical_with_bloom_off(bloom_index):
-    s_on = Searcher(bloom_index, use_actors=False)
-    s_off = Searcher(bloom_index, use_actors=False)
-    s_off.use_term_bloom = False
-    for text in ("alpha", "shared", "alpha OR charlie", "doc7 doc27"):
+def test_search_results_identical_without_term_table(bloom_index, monkeypatch):
+    """The term table gives the same results as df gathered from the
+    shards' term_stats, the path of layouts that keep no table."""
+    s_table = Searcher(bloom_index, use_actors=False)
+    s_fanout = Searcher(bloom_index, use_actors=False)
+    monkeypatch.setattr(s_fanout, "_df_table", None)
+    for text in ("alpha", "shared", "alpha OR charlie", "doc7 doc27", "zzz alpha"):
         q = parse_query(text)
-        assert s_on.search(q, k=10) == s_off.search(q, k=10), text
+        assert s_table.search(q, k=10) == s_fanout.search(q, k=10), text
 
 
 def test_term_bloom_flag_disables_write(tmp_path):
@@ -154,3 +151,4 @@ def test_term_bloom_flag_disables_write(tmp_path):
     # search still correct, just no fast-negative path
     s = Searcher(meta, use_actors=False)
     assert s._stats_for_terms(["alpha", "zzz"]) == {"alpha": 5, "zzz": 0}
+    assert s.groups[0].term_stats(["alpha", "zzz"]) == {"alpha": [5, 5], "zzz": [0, 0]}

@@ -286,6 +286,32 @@ def test_ivf_topk_recall():
             assert r["cosine"] == exact_map[key]
 
 
+def test_ivf_topk_deterministic():
+    """The same vectors give the same IVF answer, run after run and in any
+    row or block order: the k-means training sample is picked and ordered
+    by vec_id, not by which block arrives first."""
+    import numpy as np
+    import ray.data
+
+    from lucene_net_ray.stages.ann import ivf_topk
+
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((300, 8))
+    rows = [{"vec_id": i, "embedding": base[i].tolist()} for i in range(300)]
+    queries = base[:6] + 0.05 * rng.standard_normal((6, 8))
+    kw = dict(k=5, n_clusters=12, n_probe=2)
+    ds = ray.data.from_items(rows, override_num_blocks=4)
+    first = ivf_topk(ds, queries, **kw)
+    assert len(first) == 30
+    assert ivf_topk(ds, queries, **kw) == first
+    assert ivf_topk(ray.data.from_items(rows[::-1], override_num_blocks=3), queries, **kw) == first
+    # a sample smaller than the data is still the same rows in any order
+    small = dict(kw, train_sample=100)
+    assert ivf_topk(ds, queries, **small) == ivf_topk(
+        ray.data.from_items(rows[::-1], override_num_blocks=5), queries, **small
+    )
+
+
 def test_media_neardup_pairs():
     """Multimodal near-dup composition: decode -> feature -> 64-bit code ->
     band-bucketed Hamming pairs. With the deterministic fake decoder,

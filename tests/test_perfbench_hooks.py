@@ -4,9 +4,12 @@ then fails here, not in the benchmark:
 
   * ``Searcher._gather_df`` as an instance attribute
   * ``merge_top_docs``, looked up as a global of pipelines/search.py
-  * ``FuzzySet.may_contain_many``
   * ``MergedSearcher(dir).reader.term_stats`` and ``.postings``
   * ``codec.decode_postings``
+
+``FuzzySet.may_contain_many`` is wrapped too but no longer reached from
+``Searcher.search``: the searcher answers df from its term table, and only a
+segment group's term_stats consults the Bloom sets.
 """
 
 import pyarrow as pa
@@ -43,7 +46,7 @@ def test_perfbench_hooks_are_reached_and_change_nothing(tmp_path):
         ):
             got = s.search(q, k=8)
         assert got == want, use_actors
-        hooks = {"df_gather", "bloom", "merge"} | ({"decode"} if not use_actors else set())
+        hooks = {"df_gather", "merge"} | ({"decode"} if not use_actors else set())
         assert hooks <= set(tr.counts()), (use_actors, tr.counts())
 
     ms = MergedSearcher(merged)
