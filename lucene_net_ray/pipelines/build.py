@@ -41,7 +41,6 @@ def _build_segment_task(
     store_term_vectors: bool = False,
     analyzer_obj=None,
     payload_delimiter: str | None = None,
-    term_bloom: bool = True,
 ) -> pa.Table:
     """Stateless map_batches task: each input row describes one shard.
 
@@ -71,7 +70,6 @@ def _build_segment_task(
             index_options=index_options,
             store_term_vectors=store_term_vectors,
             payload_delimiter=payload_delimiter,
-            term_bloom=term_bloom,
             lineage={
                 "path": row["path"],
                 "row_groups": list(row["row_groups"]),
@@ -106,7 +104,6 @@ def build_index(
     index_options: str = "freqs",
     store_term_vectors: bool = False,
     payload_delimiter: str | None = None,
-    term_bloom: bool = True,
 ) -> IndexMeta:
     """Build (or resume) an index from a Parquet corpus. Returns IndexMeta.
 
@@ -146,7 +143,6 @@ def build_index(
             "index_options": index_options,
             "store_term_vectors": store_term_vectors,
             "payload_delimiter": payload_delimiter,
-            "term_bloom": term_bloom,
         },
         batch_size=None,
         batch_format="pyarrow",

@@ -265,7 +265,7 @@ def more_like_this(
     tf = Counter(analyzer(text))
     terms = [t for t, f in tf.items() if f >= min_term_freq]
     # one stats gather for all candidate terms
-    df = searcher._stats_for_terms(terms)
+    df = searcher._stats_for_terms(terms, field)
     n = searcher.index.max_doc
     scored = []
     for t in terms:
@@ -293,7 +293,7 @@ def more_like_this_by_doc(
     tf = next((tv for tv in searcher._call("term_vector", doc_id) if tv is not None), None)
     if tf is None:
         raise KeyError(f"doc {doc_id} not in index")
-    df = searcher._stats_for_terms(sorted(tf))
+    df = searcher._stats_for_terms(sorted(tf), field)
     n = searcher.index.max_doc
     scored = [
         (float(sim.idf(df[t], n)) * c, t)
@@ -357,7 +357,7 @@ def fuzzy_like_this(
             )
             if not variants:
                 continue
-            dfs = searcher._stats_for_terms(sorted({v for v, _ in variants} | {term}))
+            dfs = searcher._stats_for_terms(sorted({v for v, _ in variants} | {term}), field)
             df = dfs.get(term, 0)
             if df == 0:
                 df = sum(dfs.get(v, 0) for v, _ in variants) // len(variants)
@@ -478,7 +478,7 @@ def common_terms_query(
 ) -> Query:
     """CommonTermsQuery rewrite: low-df terms MUST-ish (SHOULD main clause),
     high-df terms demoted to a separate optional subquery."""
-    df = searcher._stats_for_terms(terms)
+    df = searcher._stats_for_terms(terms, field)
     n = max(searcher.index.max_doc, 1)
     low = [t for t in terms if df.get(t, 0) / n <= max_term_frequency]
     high = [t for t in terms if t not in low]
@@ -493,15 +493,16 @@ def common_terms_query(
 
 
 def suggest_terms(
-    searcher: Searcher, term: str, *, max_edits: int = 2, k: int = 5
+    searcher: Searcher, term: str, *, max_edits: int = 2, k: int = 5, field: str = "content"
 ) -> list[tuple[str, int, int]]:
     """[(term, edit_distance, global df)] nearest dictionary terms
     (DirectSpellChecker analog, ranked by distance then df desc)."""
     from ..query import FuzzyQuery
     from .scorer import _edit_distance_capped as ed
 
-    cands = [t for t, _ in searcher.expand(FuzzyQuery(term=term, max_edits=max_edits, max_expansions=1000))]
-    df = searcher._stats_for_terms(cands)
+    fuzzy = FuzzyQuery(field=field, term=term, max_edits=max_edits, max_expansions=1000)
+    cands = [t for t, _ in searcher.expand(fuzzy)]
+    df = searcher._stats_for_terms(cands, field)
     ranked = sorted(
         ((t, ed(term, t, max_edits), df.get(t, 0)) for t in cands if t != term),
         key=lambda x: (x[1], -x[2], x[0]),
@@ -519,16 +520,18 @@ def highlight(
     pre: str = "<b>",
     post: str = "</b>",
     analyzer: Analyzer | None = None,
+    field: str = "content",
 ) -> list[str]:
     """Highlighter analog (reference Highlighter/Highlight/Highlighter.cs:29):
     re-analyze the text, score fixed-width token windows by the summed idf
     weight of matching query terms, return the best fragments with matches
-    wrapped. fragment_size is in whitespace tokens."""
+    wrapped. fragment_size is in whitespace tokens; idf is from ``field``,
+    the field the text comes from."""
     from ..functions.analysis import analyze_with_positions
 
     analyzer = analyzer or Analyzer()
     qterms = {t for t in _all_terms(q)}
-    df = searcher._stats_for_terms(sorted(qterms))
+    df = searcher._stats_for_terms(sorted(qterms), field)
     n = searcher.index.max_doc
     weight = {t: float(sim.idf(df.get(t, 0), n)) if df.get(t, 0) else 0.1 for t in qterms}
 
@@ -712,15 +715,17 @@ def function_rescore(
     return rows[:k]
 
 
-def suggest_completions(searcher: Searcher, prefix: str, k: int = 5) -> list[tuple[str, int]]:
+def suggest_completions(
+    searcher: Searcher, prefix: str, k: int = 5, *, field: str = "content"
+) -> list[tuple[str, int]]:
     """Prefix completion from the term dictionary ranked by global df
     (AnalyzingSuggester-style payload = popularity; reference
     Suggest/Suggest/Analyzing/AnalyzingSuggester.cs:88 — FST replaced by the
     sorted term dict's prefix range)."""
     from ..query import PrefixQuery
 
-    cands = [t for t, _ in searcher.expand(PrefixQuery(prefix=prefix))]
-    df = searcher._stats_for_terms(cands)
+    cands = [t for t, _ in searcher.expand(PrefixQuery(field=field, prefix=prefix))]
+    df = searcher._stats_for_terms(cands, field)
     ranked = sorted(((t, df.get(t, 0)) for t in cands), key=lambda x: (-x[1], x[0]))
     return ranked[:k]
 

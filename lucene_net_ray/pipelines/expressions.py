@@ -304,13 +304,10 @@ def bind_index_expression(searcher, expr: str) -> tuple[dict, dict]:
         return None, {"tf_terms": (), "norm": False, "ords": {}, "queries": {}}
     req = index_requests(expr)
     stat_terms = sorted(req["stat_terms"])
-    df: dict = {t: 0 for t in stat_terms}
-    ttf: dict = {t: 0 for t in stat_terms}
-    if stat_terms:
-        for part in searcher._call("term_stats", stat_terms):
-            for t, (d, tt) in part.items():
-                df[t] += d
-                ttf[t] += tt
+    field = searcher._field(None)
+    stats = searcher._term_stats({field: stat_terms})[field] if stat_terms else {}
+    df = {t: d for t, (d, _tt) in stats.items()}
+    ttf = {t: tt for t, (_d, tt) in stats.items()}
     ords = {}
     ord_card = {}
     for f in sorted(req["ord_fields"]):

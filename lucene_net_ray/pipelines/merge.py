@@ -973,7 +973,8 @@ class MergedSearcher(Searcher):
 
     def __init__(self, out_dir: str):
         self.reader = MergedIndexReader(out_dir)
-        super().__init__(out_dir, use_actors=False, groups=[_SegmentGroup([self.reader])])
+        field = self.reader.manifest.get("content_column", "content")
+        super().__init__(out_dir, use_actors=False, groups=[_SegmentGroup([self.reader], field)])
 
 
 @ray.remote(**SERVING_ACTOR_OPTIONS)
@@ -1173,4 +1174,5 @@ class ShardedMergedSearcher(Searcher):
             for g in groups
         ]
         self.reader = _ShardedMergedReader(out_dir, self._actors, bounds, local.manifest)
-        super().__init__(out_dir, use_actors=False, groups=[_SegmentGroup([self.reader])])
+        field = local.manifest.get("content_column", "content")
+        super().__init__(out_dir, use_actors=False, groups=[_SegmentGroup([self.reader], field)])

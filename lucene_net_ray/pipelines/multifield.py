@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 
 import numpy as np
+import ray
 
 from ..query import Query, TermQuery
 from ..state.index import IndexMeta
@@ -103,27 +104,22 @@ class _MultiFieldGroup:
     """One segment slice's readers for ALL fields (shared by the in-process
     searcher and the actor pool — each actor holds 1/G of every per-field
     index, so a query scatters once and gathers per-group top-k). Each
-    field's segments form one ``_SegmentGroup``; a segment's scorer sees
-    every field's reader of that segment."""
+    field's segments form one ``_SegmentGroup``, and the stats calls are the
+    union of theirs; a segment's scorer sees every field's reader of that
+    segment."""
 
     def __init__(self, field_seg_dirs: dict[str, list[str]]):
-        self.by_field = {f: _SegmentGroup(dirs) for f, dirs in field_seg_dirs.items()}
+        self.by_field = {f: _SegmentGroup(dirs, f) for f, dirs in field_seg_dirs.items()}
         n_segments = len(next(iter(field_seg_dirs.values())))
         self.segments = [
             {f: g.readers[si] for f, g in sorted(self.by_field.items())} for si in range(n_segments)
         ]
 
-    def term_dfs(self) -> None:
-        """No global term table: MultiFieldSearcher assembles its own
-        per-field stats."""
-        return None
+    def term_dfs(self) -> dict[str, bytes]:
+        return {f: b for g in self.by_field.values() for f, b in g.term_dfs().items()}
 
-    def term_stats(self, wanted: dict[str, list[str]]) -> dict[str, dict[str, int]]:
-        return {
-            f: {t: d for t, (d, _tt) in self.by_field[f].term_stats(terms).items()}
-            for f, terms in wanted.items()
-            if f in self.by_field
-        }
+    def term_stats(self, wanted: dict[str, list[str]]) -> dict[str, dict[str, tuple[int, int]]]:
+        return {f: st for g in self.by_field.values() for f, st in g.term_stats(wanted).items()}
 
     def expand(self, q) -> list[tuple[str, float]]:
         g = self.by_field.get(q.field)
@@ -144,9 +140,7 @@ class _MultiFieldGroup:
         return sum(MultiFieldSegmentScorer(readers, stats).count(q) for readers in self.segments)
 
 
-import ray as _ray  # noqa: E402
-
-MultiFieldGroupActor = _ray.remote(**SERVING_ACTOR_OPTIONS)(_MultiFieldGroup)
+MultiFieldGroupActor = ray.remote(**SERVING_ACTOR_OPTIONS)(_MultiFieldGroup)
 
 
 class MultiFieldSearcher(Searcher):
@@ -159,41 +153,34 @@ class MultiFieldSearcher(Searcher):
 
     def __init__(self, out_dir: str, num_actors: int = 4, use_actors: bool = False):
         fields_dir = os.path.join(out_dir, "fields")
-        self.fields = sorted(os.listdir(fields_dir))
-        self.metas = {f: IndexMeta(os.path.join(fields_dir, f)) for f in self.fields}
+        fields = sorted(os.listdir(fields_dir))
+        self.metas = {f: IndexMeta(os.path.join(fields_dir, f)) for f in fields}
         seg_dirs = {f: m.segment_dirs for f, m in self.metas.items()}
         n_segs = {len(v) for v in seg_dirs.values()}
         if len(n_segs) != 1:
             raise ValueError("per-field indexes have different segment counts")
-        self.n_segments = n_segs.pop()
-        self.max_doc = next(iter(self.metas.values())).max_doc
-        n = max(1, min(num_actors, self.n_segments))
-        slices = [list(range(self.n_segments))[i::n] for i in range(n)]
+        n_segments = n_segs.pop()
+        n = max(1, min(num_actors, n_segments))
+        slices = [list(range(n_segments))[i::n] for i in range(n)]
         group_dirs = [
-            {f: [seg_dirs[f][si] for si in sl] for f in self.fields} for sl in slices
+            {f: [seg_dirs[f][si] for si in sl] for f in fields} for sl in slices
         ]
         shard = MultiFieldGroupActor.remote if use_actors else _MultiFieldGroup
         groups = [shard(g) for g in group_dirs]
-        super().__init__(self.metas[self.fields[0]], use_actors=use_actors, groups=groups)
+        super().__init__(self.metas[fields[0]], use_actors=use_actors, groups=groups)
+        self.fields = fields
 
     def _query_stats(self, q: Query) -> dict:
-        """{"fields": {field: {max_doc, sum_ttf, df}}}, df summed over the
-        shards for the (field, term) pairs of the tree."""
+        """{"fields": {field: {max_doc, sum_ttf, df}}}, df of the tree's
+        (field, term) pairs from the driver's term table; a field the index
+        lacks gets no stats and matches nothing."""
         wanted: dict[str, set[str]] = {f: set() for f in self.fields}
         for f, t in query_field_terms(q):
             if f in wanted:
                 wanted[f].add(t)
-        wanted = {f: sorted(ts) for f, ts in wanted.items()}
-        parts = self._call("term_stats", wanted)
-        fields_stats = {}
-        for f in self.fields:
-            df: dict[str, int] = {t: 0 for t in wanted[f]}
-            for p in parts:
-                for t, d in p.get(f, {}).items():
-                    df[t] += d
-            fields_stats[f] = {
-                "max_doc": self.metas[f].max_doc,
-                "sum_ttf": self.metas[f].sum_ttf,
-                "df": df,
+        return {
+            "fields": {
+                f: {"max_doc": m.max_doc, "sum_ttf": m.sum_ttf, "df": self._gather_df(sorted(wanted[f]), f)}
+                for f, m in self.metas.items()
             }
-        return {"fields": fields_stats}
+        }

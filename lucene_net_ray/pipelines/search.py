@@ -10,22 +10,26 @@ per-leaf scorers -> TopDocs.Merge with (score desc, docID asc) tie-break
 Here: ``Searcher`` is the one driver for every layout. It owns the rewrite
 (fuzzy leaves expand index-wide, at any depth), the stats pass, the fan-out
 (``_call``) and the top-k merge, over a list of shards that answer one
-protocol (term_dfs / term_stats / expand / top_k / top_k_many / count):
+protocol (term_dfs / term_stats / expand / top_k / top_k_many / count). The
+stats calls are keyed by field, as Lucene's TermStatistics are:
+term_stats({field: [terms]}) -> {field: {term: (df, ttf)}}, and term_dfs()
+-> {field: Arrow IPC (term, df)}, or None for a merged reader. The shards:
   segmented   _SegmentGroup over segment dirs, in-process or as a
               SegmentGroupActor (term dict in RAM, postings mmap'd; loaded
               once per actor, reused across queries)
   merged      one in-process _SegmentGroup over a MergedIndexReader, or over
               a _ShardedMergedReader for range actors (pipelines/merge.py)
-  multi-field _MultiFieldGroup per segment slice (pipelines/multifield.py)
+  multi-field _MultiFieldGroup per segment slice, one _SegmentGroup per
+              field (pipelines/multifield.py)
 The driver broadcasts (query, global stats, k), shards return top-k, the
 driver heap-merges. For batch evaluation of a query SET, `batch_search`
 amortizes one round-trip over many queries.
 
 At cluster scale the actor pool is sized to nodes x cores and each actor owns
-a disjoint group of segments. Global df comes from a term table the driver
-gathers once from the groups' term dicts, so a point query is one fan-out;
-layouts whose shards keep no table (merged, multi-field) gather df from the
-shards per query instead.
+a disjoint group of segments. Global df comes from a per-field term table
+the driver gathers once from the groups' term dicts, so a point query is one
+fan-out; merged layouts, whose readers keep no whole term dict, gather df
+from the shards per query instead.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import functools
 import heapq
 import os
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -56,9 +61,7 @@ def _sort_key_fn(sort_fields):
         key_vals, gid = row
         out = []
         for (f, desc), v in zip(sort_fields, key_vals):
-            import numpy as _np
-
-            if isinstance(v, (int, float, _np.number)) and not isinstance(v, bool):
+            if isinstance(v, (int, float, np.number)) and not isinstance(v, bool):
                 out.append(-v if desc else v)
             else:
                 out.append(_NegStr(v) if desc else v)
@@ -81,15 +84,19 @@ class TimeExceededError(Exception):
 class _SegmentGroup:
     """In-process group of segments (shared by local searcher and actors).
 
-    ``deleted`` is the index-global tombstone array (liveDocs analog); each
-    reader's local slice is computed once here. At cluster scale the array
-    ships once per actor at construction (or per refresh), not per query.
+    ``field`` is the one index field the segments were built over; the
+    stats calls are keyed by it, so every shard answers the same
+    (field, term) protocol. ``deleted`` is the index-global tombstone array
+    (liveDocs analog); each reader's local slice is computed once here. At
+    cluster scale the array ships once per actor at construction (or per
+    refresh), not per query.
     """
 
-    def __init__(self, segments: list, deleted: list[int] | None = None):
+    def __init__(self, segments: list, field: str, deleted: list[int] | None = None):
         """``segments``: segment directories, or readers already open (a
         merged index is one group over its MergedIndexReader)."""
         self.readers = [SegmentReader(d) if isinstance(d, str) else d for d in segments]
+        self.field = field
         dels = np.asarray(deleted if deleted is not None else [], dtype=np.int64)
         self.deleted_local = []
         for r in self.readers:
@@ -97,41 +104,33 @@ class _SegmentGroup:
             sel = dels[(dels >= lo) & (dels < hi)] - lo
             self.deleted_local.append(sel)
 
-    def term_stats(self, terms: list[str]) -> dict[str, list[int]]:
-        # Codecs/Bloom fast path: a reader whose term set says "definitely
-        # absent" is skipped without a dict probe (vectorized per reader).
-        maybes = []
+    def term_stats(self, wanted: dict[str, list[str]]) -> dict[str, dict[str, tuple[int, int]]]:
+        """{field: {term: (df, ttf)}} summed over this group's readers, for
+        the wanted terms of this group's field (absent terms: (0, 0))."""
+        if self.field not in wanted:
+            return {}
+        terms = wanted[self.field]
+        stats = np.zeros((len(terms), 2), dtype=np.int64)
         for r in self.readers:
-            bl = getattr(r, "term_bloom", None)
-            maybes.append(bl.may_contain_many(terms) if bl is not None else None)
             if hasattr(r, "prefetch"):  # range-sharded merged reader: one
                 r.prefetch(terms)  # round trip per covering actor
-        out = {}
-        for i, t in enumerate(terms):
-            df = ttf = 0
-            for r, mb in zip(self.readers, maybes):
-                if mb is not None and not mb[i]:
-                    continue
-                d, tt = r.term_stats(t)
-                df += d
-                ttf += tt
-            out[t] = [df, ttf]
-        return out
+            stats += np.array([r.term_stats(t) for t in terms], dtype=np.int64).reshape(-1, 2)
+        return {self.field: {t: tuple(st) for t, st in zip(terms, stats.tolist())}}
 
-    def term_dfs(self) -> bytes | None:
-        """(term, df) of every term in this group's segments, sorted, df
-        summed over the segments (deleted docs included, as in term_stats);
-        None unless every reader is a SegmentReader, since a merged reader
-        is built never to hold its whole term dict. Sent as an Arrow IPC
-        stream: plain bytes cross the actor boundary without Ray's Arrow
-        serializer, whose first use in a fresh actor took ~0.7 s (1 CPU)."""
+    def term_dfs(self) -> dict[str, bytes] | None:
+        """{field: (term, df) of every term in this group's segments}, sorted,
+        df summed over the segments (deleted docs included, as in
+        term_stats); None unless every reader is a SegmentReader, since a
+        merged reader is built never to hold its whole term dict. Sent as an
+        Arrow IPC stream: plain bytes cross the actor boundary without Ray's
+        Arrow serializer, whose first use in a fresh actor took ~0.7 s (1 CPU)."""
         if not all(isinstance(r, SegmentReader) for r in self.readers):
             return None
         t = _sum_df([pa.table({"term": r.term_column, "df": r.df_array.astype(np.int64)}) for r in self.readers])
         sink = pa.BufferOutputStream()
         with pa.ipc.new_stream(sink, t.schema) as w:
             w.write_table(t)
-        return sink.getvalue().to_pybytes()
+        return {self.field: sink.getvalue().to_pybytes()}
 
     def expand(self, q: Query) -> list[tuple[str, float]]:
         seen: dict[str, float] = {}
@@ -147,19 +146,17 @@ class _SegmentGroup:
         "greedy": bool} — TimeLimitingCollector / EarlyTerminating analogs.
         The time check runs between segments (our collection unit); greedy
         returns the partial hits, non-greedy raises TimeExceededError."""
-        import time as _time
-
         deadline = None
         early_docs = None
         greedy = False
         if budget:
             if budget.get("time_limit_s") is not None:
-                deadline = _time.monotonic() + budget["time_limit_s"]
+                deadline = time.monotonic() + budget["time_limit_s"]
             early_docs = budget.get("early_docs")
             greedy = bool(budget.get("greedy"))
         merged: list[tuple[int, float]] = []
         for r, dels in zip(self.readers, self.deleted_local):
-            if deadline is not None and _time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() > deadline:
                 merged.sort(key=lambda h: (-h[1], h[0]))
                 if greedy:
                     return merged[:k]
@@ -179,12 +176,10 @@ class _SegmentGroup:
     def _early_top_k(r, dels, q, stats, k, search_after, early_docs):
         """EarlyTerminatingSortingCollector semantics: per segment, only the
         FIRST ``early_docs`` matching docs (docID order) are collected."""
-        import numpy as _np
-
         scorer = SegmentScorer(r, stats)
         docs, scores = scorer.evaluate(q)
         if dels.size and docs.size:
-            keep = ~_np.isin(docs, dels, assume_unique=True)
+            keep = ~np.isin(docs, dels, assume_unique=True)
             docs, scores = docs[keep], scores[keep]
         return top_hits(docs[:early_docs], scores[:early_docs], k, search_after, r.doc_base)
 
@@ -199,12 +194,10 @@ class _SegmentGroup:
     # --- collector partials (facet / sorted / grouping run on the actors;
     # the driver only merges per-group summaries, never raw matches) --------
     def _matching(self, q: Query, stats: dict):
-        import numpy as _np
-
         for r, dels in zip(self.readers, self.deleted_local):
             docs, scores = SegmentScorer(r, stats).evaluate(q)
             if dels.size and docs.size:
-                keep = ~_np.isin(docs, dels, assume_unique=True)
+                keep = ~np.isin(docs, dels, assume_unique=True)
                 docs, scores = docs[keep], scores[keep]
             if docs.size:
                 yield r, docs, scores
@@ -220,8 +213,6 @@ class _SegmentGroup:
     def sorted_partial(self, q: Query, stats: dict, sort_fields: list, k: int) -> list:
         """Per-segment top-k rows [(key_vals tuple, global docid)] — safe
         pre-truncation before the driver's k-way merge."""
-        import numpy as _np
-
         rows: list = []
         for r, docs, _s in self._matching(q, stats):
             vals = {f: r.doc_values(f)[docs] for f, _ in sort_fields}
@@ -238,14 +229,13 @@ class _SegmentGroup:
     ) -> dict:
         """{group value: per-group top hits [(score, gid)]} truncated per
         segment — associative under the driver's re-sort merge."""
-        import numpy as _np
         from collections import defaultdict
 
         groups: dict = defaultdict(list)
         for r, docs, scores in self._matching(q, stats):
             vals = r.doc_values(group_field)[docs]
             for gid, v, s in zip((docs + r.doc_base).tolist(), vals.tolist(), scores.tolist()):
-                groups[v].append((float(_np.float32(s)), gid))
+                groups[v].append((float(np.float32(s)), gid))
         return {
             v: sorted(hits, key=lambda h: (-h[0], h[1]))[:k_per_group]
             for v, hits in groups.items()
@@ -253,14 +243,12 @@ class _SegmentGroup:
 
     def field_minmax_partial(self, fields: list) -> dict:
         """{field: (min, max)} over this shard's LIVE docs."""
-        import numpy as _np
-
         out: dict = {}
         for r, dels in zip(self.readers, self.deleted_local):
             for f in fields:
                 vals = r.doc_values(f)
                 if dels.size:
-                    keep = _np.ones(len(vals), dtype=bool)
+                    keep = np.ones(len(vals), dtype=bool)
                     keep[dels] = False
                     vals = vals[keep]
                 if len(vals) == 0:
@@ -284,8 +272,6 @@ class _SegmentGroup:
         and the next reader's best possible key is strictly worse than the
         kth (ties continue — exactness over eagerness). Returns
         (rows like sorted_partial, n_segments_evaluated)."""
-        import numpy as _np
-
         field, desc = sort_fields[0]
         order = sorted(
             range(len(self.readers)),
@@ -301,7 +287,7 @@ class _SegmentGroup:
             r, dels = self.readers[i], self.deleted_local[i]
             docs, scores = SegmentScorer(r, stats).evaluate(q)
             if dels.size and docs.size:
-                keep = ~_np.isin(docs, dels, assume_unique=True)
+                keep = ~np.isin(docs, dels, assume_unique=True)
                 docs = docs[keep]
             n_eval += 1
             if docs.size:
@@ -333,8 +319,6 @@ class _SegmentGroup:
         doc per group within this shard by the sort order (AllGroupHeads
         partial; associative under the driver's per-group min merge).
         Reference: Grouping/AbstractAllGroupHeadsCollector.cs:12."""
-        import numpy as _np
-
         heads: dict = {}
         key_fn = _sort_key_fn(sort_fields)
         for r, docs, _s in self._matching(q, stats):
@@ -344,14 +328,14 @@ class _SegmentGroup:
             for c, (_f, desc) in zip(cols, sort_fields):
                 codes = (
                     c
-                    if _np.issubdtype(c.dtype, _np.number)
-                    else _np.unique(c, return_inverse=True)[1]
+                    if np.issubdtype(c.dtype, np.number)
+                    else np.unique(c, return_inverse=True)[1]
                 )
                 keys.append(-codes if desc else codes)
             gids = docs + r.doc_base
-            order = _np.lexsort((gids, *keys[::-1]))
+            order = np.lexsort((gids, *keys[::-1]))
             # first occurrence per group in sort order = segment-local head
-            _uniq, first = _np.unique(gvals[order], return_index=True)
+            _uniq, first = np.unique(gvals[order], return_index=True)
             for j in first.tolist():
                 i = int(order[j])
                 row = (tuple(col[i] for col in cols), int(gids[i]))
@@ -365,30 +349,26 @@ class _SegmentGroup:
         """Distinct (field_a value, field_b value) pairs among matching docs —
         the shared partial behind DistinctValues and GroupFacet collectors
         (associative under set union on the driver)."""
-        import numpy as _np
-
         out: set = set()
         for r, docs, _s in self._matching(q, stats):
             a = r.doc_values(field_a)[docs]
             b = r.doc_values(field_b)[docs]
-            ua, ca = _np.unique(a, return_inverse=True)
-            ub, cb = _np.unique(b, return_inverse=True)
+            ua, ca = np.unique(a, return_inverse=True)
+            ub, cb = np.unique(b, return_inverse=True)
             ua, ub = ua.tolist(), ub.tolist()
-            for p in _np.unique(ca.astype(_np.int64) * len(ub) + cb).tolist():
+            for p in np.unique(ca.astype(np.int64) * len(ub) + cb).tolist():
                 out.add((ua[p // len(ub)], ub[p % len(ub)]))
         return list(out)
 
     def span_partial(self, q, stats: dict, k: int) -> list:
         """Per-segment span-query top-k (SpanEvaluator runs actor-side)."""
-        import numpy as _np
-
         from .spans import SpanEvaluator
 
         out = []
         for r, dels in zip(self.readers, self.deleted_local):
             docs, scores = SpanEvaluator(r, stats).evaluate(q)
             if dels.size and docs.size:
-                keep = ~_np.isin(docs, dels, assume_unique=True)
+                keep = ~np.isin(docs, dels, assume_unique=True)
                 docs, scores = docs[keep], scores[keep]
             order = top_k_order(docs, scores, k)
             out.append([(int(docs[i]) + r.doc_base, float(scores[i])) for i in order])
@@ -399,12 +379,10 @@ class _SegmentGroup:
     ) -> list:
         """Per-segment rescore window [(gid, new_score)] for function scoring
         (score_fn ships to the actor via cloudpickle)."""
-        import numpy as _np
-
         rows: list = []
         for r, docs, scores in self._matching(q, stats):
             vals = {f: r.doc_values(f)[docs] for f in fields}
-            new_scores = _np.asarray(score_fn(scores, vals), dtype=_np.float64)
+            new_scores = np.asarray(score_fn(scores, vals), dtype=np.float64)
             gids = docs + r.doc_base
             order = top_k_order(gids, new_scores, window)
             rows.extend((int(gids[i]), float(new_scores[i])) for i in order)
@@ -417,16 +395,14 @@ class _SegmentGroup:
         Queries/Function/ValueSources/): raw term freqs aligned to the
         candidate docs, byte315-decoded norms, global-ord lookups, and
         sub-query scores with default fill — all vectorized per segment."""
-        import numpy as _np
-
         from ..functions.norms import BYTE315_DECODE
 
-        def _align(src_docs, src_vals, docs, default, dtype=_np.float64):
+        def _align(src_docs, src_vals, docs, default, dtype=np.float64):
             """Scatter (src_docs -> src_vals) onto the sorted candidate docs."""
-            out = _np.full(docs.size, default, dtype=dtype)
+            out = np.full(docs.size, default, dtype=dtype)
             if src_docs.size:
-                idx = _np.searchsorted(src_docs, docs)
-                idx_c = _np.minimum(idx, src_docs.size - 1)
+                idx = np.searchsorted(src_docs, docs)
+                idx_c = np.minimum(idx, src_docs.size - 1)
                 m = src_docs[idx_c] == docs
                 out[m] = src_vals[idx_c[m]]
             return out
@@ -438,14 +414,14 @@ class _SegmentGroup:
                 pdocs, ptfs = r.postings(t)
                 vals[f"__tf:{t}"] = _align(pdocs, ptfs, docs, 0.0)
             if ispec.get("norm"):
-                vals["__norm"] = BYTE315_DECODE[r.norms[docs]].astype(_np.float64)
+                vals["__norm"] = BYTE315_DECODE[r.norms[docs]].astype(np.float64)
             for fld, gvals in ispec.get("ords", {}).items():
                 fv = r.doc_values(fld)[docs]
-                vals[f"__ord:{fld}"] = _np.searchsorted(gvals, fv).astype(_np.float64)
+                vals[f"__ord:{fld}"] = np.searchsorted(gvals, fv).astype(np.float64)
             for qstr, (subq, substats, defval) in ispec.get("queries", {}).items():
                 qdocs, qscores = SegmentScorer(r, substats).evaluate(subq)
                 vals[f"__query:{qstr}"] = _align(qdocs, qscores, docs, defval)
-            new_scores = _np.asarray(score_fn(scores, vals), dtype=_np.float64)
+            new_scores = np.asarray(score_fn(scores, vals), dtype=np.float64)
             gids = docs + r.doc_base
             order = top_k_order(gids, new_scores, window)
             rows.extend((int(gids[i]), float(new_scores[i])) for i in order)
@@ -538,8 +514,6 @@ class QueryEvalStage:
         group_handles: list | None = None,
         replica_sets: list[list] | None = None,
     ):
-        from ..state.index import IndexMeta
-
         meta = IndexMeta(index_dir)
         if replica_sets:
             # R independent group sets (each a full partition of the index);
@@ -562,8 +536,6 @@ class QueryEvalStage:
         return s
 
     def __call__(self, batch):
-        import pyarrow as pa
-
         from ..query import parse_query
 
         parsed = []
@@ -657,6 +629,7 @@ class Searcher:
         False."""
         self.index = index if isinstance(index, IndexMeta) else IndexMeta(index)
         self.field = self.index.manifest.get("content_column", "content")
+        self.fields = [self.field]
         self.use_actors = use_actors
         if groups is None:
             from ..state.deletes import load_deleted
@@ -665,7 +638,7 @@ class Searcher:
             n = max(1, min(num_actors, len(seg_dirs)))
             deleted = load_deleted(self.index.index_dir).tolist()
             shard = SegmentGroupActor.remote if use_actors else _SegmentGroup
-            groups = [shard(seg_dirs[i::n], deleted) for i in range(n)]
+            groups = [shard(seg_dirs[i::n], self.field, deleted) for i in range(n)]
         self.groups = groups
 
     def _call(self, method: str, *args) -> list:
@@ -712,45 +685,63 @@ class Searcher:
         q = map_leaves(q, fuzzy)
         return q, self._query_stats(q)
 
+    def _field(self, field: str | None) -> str:
+        """The index field a stats request names. On a single-field index,
+        None and the parser's default name 'content' mean the column the
+        index was built over; a field the index lacks raises ValueError, so
+        a parsed 'title:foo' cannot silently search the content postings."""
+        if field in self.fields:
+            return field
+        if field in (None, "content") and len(self.fields) == 1:
+            return self.field
+        raise ValueError(
+            f"field {field!r} is not in this index, which has {self.fields} "
+            "(use MultiFieldSearcher for multi-field docs)"
+        )
+
     def _query_stats(self, q: Query) -> dict:
-        # a parsed 'title:foo' must not silently search this index's single
-        # content field; the parser's default field name 'content' is accepted
-        # as an alias for whatever column the index was built over
-        unknown = query_fields(q) - {self.field, "content"}
-        if unknown:
-            raise ValueError(
-                f"query references field(s) {sorted(unknown)} but this index "
-                f"only has {self.field!r} (use MultiFieldSearcher for multi-field docs)"
-            )
-        df = self._stats_for_terms(sorted(query_terms(q)))
+        for f in sorted(query_fields(q)):
+            self._field(f)
+        df = self._gather_df(sorted(query_terms(q)))
         return {"max_doc": self.index.max_doc, "sum_ttf": self.index.sum_ttf, "df": df}
 
     @functools.cached_property
-    def _df_table(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The index's global term table, gathered with ONE fan-out on first
-        use: sorted terms (object array) and their int64 df, the same sums
-        term_stats returns. None when a shard keeps no table (merged readers
-        and multi-field groups). Driver memory is O(vocabulary), about the
+    def _df_table(self) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
+        """The index's global term table, gathered with ONE term_dfs fan-out
+        on first use: {field: (sorted terms as an object array, their int64
+        df)}, the same sums term_stats returns. None when a shard keeps no
+        table (merged readers). Driver memory is O(vocabulary), about the
         term dicts of one group actor."""
         parts = self._call("term_dfs")
         if any(p is None for p in parts):
             return None
-        t = _sum_df([pa.ipc.open_stream(p).read_all() for p in parts])
-        return t.column("term").to_numpy(), t.column("df").to_numpy()
+        table = {}
+        for f in parts[0]:
+            t = _sum_df([pa.ipc.open_stream(p[f]).read_all() for p in parts])
+            table[f] = t.column("term").to_numpy(), t.column("df").to_numpy()
+        return table
 
-    def _gather_df(self, terms: list[str]) -> dict[str, int]:
-        """Global df of ``terms`` (absent: 0), binary-searched in the term
-        table; without one, summed over one term_stats fan-out."""
+    def _term_stats(self, wanted: dict[str, list[str]]) -> dict[str, dict[str, tuple[int, int]]]:
+        """Global {field: {term: (df, ttf)}} of the wanted (field, term)
+        pairs (absent: (0, 0)), summed over ONE term_stats fan-out."""
+        out = {f: dict.fromkeys(terms, (0, 0)) for f, terms in wanted.items()}
+        for part in self._call("term_stats", wanted):
+            for f, stats in part.items():
+                for t, (d, tt) in stats.items():
+                    d0, tt0 = out[f][t]
+                    out[f][t] = (d0 + d, tt0 + tt)
+        return out
+
+    def _gather_df(self, terms: list[str], field: str | None = None) -> dict[str, int]:
+        """Global df of ``terms`` in ``field`` (absent: 0), binary-searched
+        in the term table; without one, summed over a term_stats fan-out."""
+        field = self._field(field)
         if not terms:
             return {}
         table = self._df_table
         if table is None:
-            agg = dict.fromkeys(terms, 0)
-            for stats in self._call("term_stats", terms):
-                for t, (d, _tt) in stats.items():
-                    agg[t] += d
-            return agg
-        keys, dfs = table
+            return {t: d for t, (d, _tt) in self._term_stats({field: terms})[field].items()}
+        keys, dfs = table[field]
         df = np.zeros(len(terms), dtype=np.int64)
         if keys.size:
             want = np.asarray(terms, dtype=object)
@@ -759,9 +750,9 @@ class Searcher:
             df[hit] = dfs[i[hit]]
         return dict(zip(terms, df.tolist()))
 
-    def _stats_for_terms(self, terms: list[str]) -> dict[str, int]:
-        """Global df for arbitrary terms (used by MLT/CommonTerms/suggest)."""
-        return self._gather_df(list(terms))
+    def _stats_for_terms(self, terms: list[str], field: str | None = None) -> dict[str, int]:
+        """_gather_df under the collectors' name (MLT/CommonTerms/suggest/highlight)."""
+        return self._gather_df(terms, field)
 
     def search(
         self,

@@ -447,7 +447,7 @@ def span_search(searcher, q, k: int = 10) -> list[tuple[int, float]]:
 
     q = rewrite_span_multiterm(searcher, q)
     terms = sorted(span_terms(q))
-    df = searcher._stats_for_terms(terms)
+    df = searcher._stats_for_terms(terms, q.field)
     stats = {"max_doc": searcher.index.max_doc, "sum_ttf": searcher.index.sum_ttf, "df": df}
     per_seg = [hits for part in searcher._call("span_partial", q, stats, k) for hits in part]
     return merge_top_docs(per_seg, k)

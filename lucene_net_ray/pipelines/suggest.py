@@ -756,7 +756,7 @@ def _part_ranges(parts_dir: str, column: str) -> list[dict]:
 
 
 def suggest_word_breaks(
-    searcher, term: str, *, k: int = 5, min_part_len: int = 2
+    searcher, term: str, *, k: int = 5, min_part_len: int = 2, field: str = "content"
 ) -> list[tuple[tuple[str, str], int]]:
     """Split an out-of-vocabulary term into two dictionary words
     (WordBreakSpellChecker.SuggestWordBreaks, two-part case). Ranked by the
@@ -766,7 +766,7 @@ def suggest_word_breaks(
     for i in range(min_part_len, len(term) - min_part_len + 1):
         parts.append((term[:i], term[i:]))
     wanted = sorted({w for p in parts for w in p})
-    df = searcher._stats_for_terms(wanted)
+    df = searcher._stats_for_terms(wanted, field)
     for a, b in parts:
         if df.get(a, 0) > 0 and df.get(b, 0) > 0:
             out.append(((a, b), df[a] + df[b]))
@@ -775,13 +775,13 @@ def suggest_word_breaks(
 
 
 def suggest_word_combinations(
-    searcher, terms: list[str], *, k: int = 5
+    searcher, terms: list[str], *, k: int = 5, field: str = "content"
 ) -> list[tuple[str, int]]:
     """Join adjacent query terms into one dictionary word
     (WordBreakSpellChecker.SuggestWordCombinations). Ranked by the combined
     word's df desc."""
     cands = ["".join(terms[i : i + 2]) for i in range(len(terms) - 1)]
-    df = searcher._stats_for_terms(sorted(set(cands)))
+    df = searcher._stats_for_terms(sorted(set(cands)), field)
     out = [(c, df[c]) for c in dict.fromkeys(cands) if df.get(c, 0) > 0]
     out.sort(key=lambda x: (-x[1], x[0]))
     return out[:k]

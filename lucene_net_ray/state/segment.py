@@ -129,7 +129,6 @@ def build_segment(
     index_options: str = "freqs",  # "freqs" | "positions" | "offsets" (FieldInfo.IndexOptions analog)
     store_term_vectors: bool = False,  # per-doc (term, tf) columns in docs.parquet
     payload_delimiter: str | None = None,  # DelimitedPayloadTokenFilter analog
-    term_bloom: bool = True,  # Codecs/Bloom term fuzzy-set (bloom.bin)
 ) -> dict:
     """Tokenize + invert one partition of the corpus and write a segment.
 
@@ -378,7 +377,6 @@ def build_segment(
         tfs_sorted=tfs_sorted,
         pos_deltas=pos_deltas,
         norms=norms,
-        term_bloom=term_bloom,
     )
     n_terms = enc["term_count"]
     n_post = enc["postings"]
@@ -469,7 +467,6 @@ def write_terms_and_postings(
     tfs_sorted: np.ndarray,
     pos_deltas: np.ndarray | None,
     norms: np.ndarray,
-    term_bloom: bool = True,
 ) -> dict:
     """Encode term-major posting arrays into terms.parquet + postings.bin.
 
@@ -579,16 +576,6 @@ def write_terms_and_postings(
     )
     pq.write_table(terms_table, os.path.join(tmp_dir, "terms.parquet"))
 
-    # Codecs/Bloom analog: a single-hash term fuzzy-set for "definitely
-    # absent" answers without touching the dict (skipped when >90% full,
-    # downsized to ~10% saturation — see functions/bloom.py).
-    if term_bloom:
-        from ..functions.bloom import build_term_bloom
-
-        bloom = build_term_bloom(uniq_terms)
-        if bloom is not None:
-            bloom.save(os.path.join(tmp_dir, "bloom.bin"))
-
     return {
         "term_count": int(n_terms),
         "postings": int(n_post),
@@ -660,17 +647,6 @@ class SegmentReader:
         self._post = np.memmap(os.path.join(seg_dir, "postings.bin"), dtype=np.uint8, mode="r") \
             if os.path.getsize(os.path.join(seg_dir, "postings.bin")) else np.empty(0, dtype=np.uint8)
         self._post_cache = FifoCache(self._POSTINGS_CACHE_ELEMS, postings_elems)
-
-    @property
-    def term_bloom(self):
-        """Lazy Codecs/Bloom term set; None when the segment has none
-        (old segments, or skipped for saturation at build)."""
-        if not hasattr(self, "_term_bloom"):
-            from ..functions.bloom import FuzzySet
-
-            p = os.path.join(self.seg_dir, "bloom.bin")
-            self._term_bloom = FuzzySet.load(p) if os.path.exists(p) else None
-        return self._term_bloom
 
     @property
     def norms(self) -> np.ndarray:

@@ -1,21 +1,30 @@
-"""Codecs/Bloom analog: single-hash term fuzzy-sets.
+"""Codecs/Bloom analog, now a standalone primitive: single-hash term
+fuzzy-sets, and the serving path that no longer uses them.
 
-Contract pinned from the reference
-(Codecs/Bloom/FuzzySet.cs, DefaultBloomFilterFactory.cs,
-BloomFilteringPostingsFormat.cs): never a false negative; sized to ~10%
-saturation and downsized before save; not saved when >90% full; used to
-answer 'definitely absent' before touching the term dictionary (a segment
-group's term_stats). The searcher's own df lookups go to its term table.
+Contract of ``FuzzySet`` pinned from the reference
+(Codecs/Bloom/FuzzySet.cs, DefaultBloomFilterFactory.cs): never a false
+negative; sized to ~10% saturation and downsized before save; not saved when
+>90% full. A build writes no ``bloom.bin``: df comes from the searcher's
+per-field term table, and a shard's field-keyed term_stats reads its term
+dicts directly. An index that still carries ``bloom.bin`` from an older
+build opens and answers identically; the reader ignores the file.
 """
+
+import os
+import random
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
 from lucene_net_ray.functions.bloom import FuzzySet, build_term_bloom, _hash_many
+from lucene_net_ray.oracle import OracleIndex
 from lucene_net_ray.pipelines.build import build_index_from_table
+from lucene_net_ray.pipelines.merge import MergedSearcher, merge_index
 from lucene_net_ray.pipelines.search import Searcher
 from lucene_net_ray.query import parse_query
+from lucene_net_ray.state.checkindex import check_index
+from lucene_net_ray.state.segment import SegmentReader
 
 
 def test_no_false_negatives_and_bounded_fp():
@@ -66,49 +75,73 @@ def test_empty_and_saturated():
     assert tiny.saturation() == 1.0
 
 
+VOCAB = "echo foxtrot golf hotel".split()  # repeats, so ttf differs from df
+DOCS = [f"alpha bravo doc{i} shared" for i in range(20)] + [f"charlie delta doc{i} shared" for i in range(20, 40)]
+DOCS += [" ".join(random.Random(i).choices(VOCAB, k=6)) for i in range(40, 60)]
+PROBE = ["alpha", "charlie", "shared", "doc5", "doc25", "golf", "zyzzyva", "qqq", ""]
+QUERIES = ["alpha", "shared", "alpha OR charlie", "doc7 doc27", "zzz alpha", "+golf -echo", '"alpha bravo"']
+
+
 @pytest.fixture(scope="module")
 def bloom_index(tmp_path_factory):
-    docs = pa.table(
-        {
-            "doc_id": pa.array(range(40), pa.int64()),
-            "content": pa.array(
-                [f"alpha bravo doc{i} shared" for i in range(20)]
-                + [f"charlie delta doc{i} shared" for i in range(20, 40)]
-            ),
-        }
-    )
     out = str(tmp_path_factory.mktemp("bloomidx") / "idx")
-    meta = build_index_from_table(docs, out, content_column="content", target_rows_per_segment=20)
+    meta = build_index_from_table(
+        pa.table({"content": DOCS}), out, target_rows_per_segment=20, index_options="positions"
+    )
+    assert len(meta.segment_dirs) == 3
     return meta
 
 
-def test_build_writes_bloom_and_reader_loads(bloom_index):
-    import os
+def _ttf(oracle: OracleIndex, term: str) -> int:
+    return sum(d.get(term, 0) for d in oracle.docs)
 
-    from lucene_net_ray.state.segment import SegmentReader
 
-    assert len(bloom_index.segment_dirs) == 2
+def test_build_writes_no_bloom(bloom_index):
     for d in bloom_index.segment_dirs:
-        assert os.path.exists(os.path.join(d, "bloom.bin"))
-        r = SegmentReader(d)
-        bl = r.term_bloom
-        assert bl is not None
-        assert bl.may_contain_many(list(r.terms)).all()
+        assert not os.path.exists(os.path.join(d, "bloom.bin")), d
 
 
-def test_group_term_stats_with_bloom_exact(bloom_index):
-    s = Searcher(bloom_index, use_actors=False)
-    # the driver's term table and the groups' bloom-skipping term_stats both
-    # agree with brute force for present + absent terms
-    probe = ["alpha", "charlie", "shared", "doc5", "doc25", "zyzzyva", "qqq"]
-    want = {"alpha": 20, "charlie": 20, "shared": 40, "doc5": 1, "doc25": 1,
-            "zyzzyva": 0, "qqq": 0}
-    assert s._stats_for_terms(probe) == want
-    summed = dict.fromkeys(probe, 0)
+def test_field_keyed_term_stats_match_oracle(bloom_index, tmp_path):
+    """term_stats({field: terms}) -> {field: {term: (df, ttf)}}: summed over
+    the groups it equals the oracle's df and ttf, on the segmented and the
+    merged layout; a group asked only for another field answers nothing."""
+    oracle = OracleIndex(DOCS)
+    want = {t: (oracle.df.get(t, 0), _ttf(oracle, t)) for t in PROBE}
+    assert want["shared"] == (40, 40) and want["zyzzyva"] == (0, 0)
+    assert want["golf"][1] > want["golf"][0]
+    s = Searcher(bloom_index, num_actors=2, use_actors=False)
+    assert s._term_stats({"content": PROBE}) == {"content": want}
+    summed = dict.fromkeys(PROBE, (0, 0))
     for g in s.groups:
-        for t, (df, _ttf) in g.term_stats(probe).items():
-            summed[t] += df
+        part = g.term_stats({"content": PROBE, "title": ["alpha"]})
+        assert list(part) == ["content"]
+        for t, (df, ttf) in part["content"].items():
+            summed[t] = (summed[t][0] + df, summed[t][1] + ttf)
+        assert g.term_stats({"title": ["alpha"]}) == {}
     assert summed == want
+    merged = str(tmp_path / "merged")
+    merge_index(bloom_index.index_dir, merged)
+    assert MergedSearcher(merged)._term_stats({"content": PROBE}) == {"content": want}
+
+
+def test_leftover_bloom_file_answers_identically(bloom_index, tmp_path):
+    """An index whose segments still carry bloom.bin from an older build
+    checks clean and gives the same df and hits as without it."""
+    import shutil
+
+    old = str(tmp_path / "old")
+    shutil.copytree(bloom_index.index_dir, old)
+    s_new = Searcher(bloom_index, use_actors=False)
+    s_old = Searcher(old, use_actors=False)
+    for d in s_old.index.segment_dirs:
+        build_term_bloom(SegmentReader(d).term_column).save(os.path.join(d, "bloom.bin"))
+    assert check_index(old) == check_index(bloom_index)
+    assert s_old._stats_for_terms(PROBE) == s_new._stats_for_terms(PROBE)
+    assert s_old._df_table["content"][0].tolist() == s_new._df_table["content"][0].tolist()
+    for text in QUERIES:
+        q = parse_query(text)
+        assert s_old.search(q, k=10) == s_new.search(q, k=10), text
+        assert s_old.count(q) == s_new.count(q), text
 
 
 def test_df_lookup_makes_no_fanout(bloom_index):
@@ -130,25 +163,7 @@ def test_search_results_identical_without_term_table(bloom_index, monkeypatch):
     s_table = Searcher(bloom_index, use_actors=False)
     s_fanout = Searcher(bloom_index, use_actors=False)
     monkeypatch.setattr(s_fanout, "_df_table", None)
-    for text in ("alpha", "shared", "alpha OR charlie", "doc7 doc27", "zzz alpha"):
+    assert s_table._stats_for_terms(PROBE) == s_fanout._stats_for_terms(PROBE)
+    for text in QUERIES:
         q = parse_query(text)
         assert s_table.search(q, k=10) == s_fanout.search(q, k=10), text
-
-
-def test_term_bloom_flag_disables_write(tmp_path):
-    import os
-
-    docs = pa.table(
-        {"doc_id": pa.array(range(5), pa.int64()),
-         "content": pa.array([f"alpha doc{i}" for i in range(5)])}
-    )
-    from lucene_net_ray.pipelines.build import build_index_from_table
-
-    out = str(tmp_path / "nobloom")
-    meta = build_index_from_table(docs, out, content_column="content", term_bloom=False)
-    for d in meta.segment_dirs:
-        assert not os.path.exists(os.path.join(d, "bloom.bin"))
-    # search still correct, just no fast-negative path
-    s = Searcher(meta, use_actors=False)
-    assert s._stats_for_terms(["alpha", "zzz"]) == {"alpha": 5, "zzz": 0}
-    assert s.groups[0].term_stats(["alpha", "zzz"]) == {"alpha": [5, 5], "zzz": [0, 0]}

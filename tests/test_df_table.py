@@ -1,8 +1,9 @@
-"""The searcher's global term table: df for every term of a segmented index,
-gathered once from the segment groups, so a point query is one fan-out.
+"""The searcher's global term table: df for every (field, term) of a
+segmented index, gathered once from the segment groups, so a point query is
+one fan-out.
 
-  * the table's df equals the oracle's for every term, with several segments
-    per group, and is 0 for absent terms
+  * the table is keyed by the index's field; its df equals the oracle's for
+    every term, with several segments per group, and is 0 for absent terms
   * df counts deleted docs (Lucene's docFreq does until a merge), so a
     delete_by_query leaves it unchanged
   * an actor-backed ``Searcher.search`` makes exactly one fan-out per query
@@ -82,7 +83,8 @@ def test_table_df_equals_oracle(index, use_actors, num_actors):
     if not use_actors:  # several segments per group; with 5 groups, some hold one
         sizes = {len(g.readers) for g in s.groups}
         assert min(sizes) == 1 < max(sizes) if num_actors == 5 else min(sizes) >= 3
-    terms, dfs = s._df_table
+    assert list(s._df_table) == ["content"]  # one table per field
+    terms, dfs = s._df_table["content"]
     assert terms.tolist() == oracle.vocab
     assert dfs.tolist() == [oracle.df[t] for t in oracle.vocab]
     probe = oracle.vocab + ABSENT

@@ -1,4 +1,4 @@
-"""Differential test: seeded random query trees, five index layouts, one oracle.
+"""Differential test: seeded random query trees, six index layouts, one oracle.
 
 Each tree mixes nested booleans (MUST / SHOULD / MUST_NOT, min_should_match,
 boosts), term, exact-phrase and sloppy-phrase leaves, prefix and wildcard
@@ -11,6 +11,9 @@ expansions, DisMax and ConstantScore. Every tree must give the same top-k
     default) over that multi-segment index
   * ``MergedSearcher`` over the merged multi-segment index
   * ``ShardedMergedSearcher`` with 2 range actors over that merged index
+  * ``MultiFieldSearcher`` (2 groups) over a two-field index of the same docs,
+    whose ``content`` field is the corpus and whose ``title`` field holds
+    other text, so per-field stats must not mix
 
 and the same as ``oracle.OracleIndex``. The oracle has no fuzzy path, so a
 fuzzy tree is first rewritten by the searcher (every fuzzy leaf, at any
@@ -23,11 +26,13 @@ import random
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from lucene_net_ray.oracle import OracleIndex
 from lucene_net_ray.pipelines.build import build_index_from_table
 from lucene_net_ray.pipelines.merge import MergedSearcher, ShardedMergedSearcher, merge_index
+from lucene_net_ray.pipelines.multifield import MultiFieldSearcher, build_multi_field_index
 from lucene_net_ray.pipelines.search import Searcher
 from lucene_net_ray.query import (
     BooleanClause,
@@ -148,12 +153,20 @@ def layouts(tmp_path_factory):
     merge_index(multi, merged, bucket_size=2)
     sharded = ShardedMergedSearcher(merged, num_actors=2)
     assert len(sharded._actors) == 2
+    src = tmp_path_factory.mktemp("mf_src")
+    titles = [" ".join(d.split()[::-2]) for d in docs]
+    pq.write_table(table.append_column("title", pa.array(titles)), str(src / "docs.parquet"), row_group_size=60)
+    mf = str(tmp_path_factory.mktemp("multi_field"))
+    build_multi_field_index(
+        str(src), mf, fields=("content", "title"), target_rows_per_segment=60, index_options="positions"
+    )
     searchers = {
         "searcher_1seg": Searcher(one, use_actors=False),
         "searcher_multiseg": Searcher(multi, use_actors=False),
         "searcher_actors": Searcher(multi, num_actors=2),
         "merged": MergedSearcher(merged),
         "sharded_merged": sharded,
+        "multi_field": MultiFieldSearcher(mf, num_actors=2),
     }
     return docs, OracleIndex(docs), searchers
 

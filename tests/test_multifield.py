@@ -1,5 +1,7 @@
 """Multi-field documents: per-field postings/norms/stats + mixed-field queries."""
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -215,3 +217,76 @@ def test_fuzzy_boosting_and_multiphrase(mf, use_actors):
     assert sorted(d for d, _ in hits) == [0, 2]
     assert all(x > 0 for _, x in hits)
     assert s.count(mp) == 2
+
+
+def _field_searchers(out: str, use_actors: bool) -> tuple[MultiFieldSearcher, dict[str, Searcher]]:
+    """The multi-field searcher, and a single-field Searcher over each
+    field's own index (built from the same shard plan)."""
+    kw = {"num_actors": 2, "use_actors": use_actors}
+    singles = {f: Searcher(os.path.join(out, "fields", f), **kw) for f in ("title", "body")}
+    return MultiFieldSearcher(out, **kw), singles
+
+
+@pytest.mark.parametrize("use_actors", [False, True], ids=["in_process", "actors"])
+def test_collectors_match_single_field_index(mf, use_actors):
+    """Every collector that gathers df answers on a multi-field searcher as
+    it does on a single-field index of the field it names."""
+    from lucene_net_ray.pipelines.collectors import (
+        common_terms_query,
+        highlight,
+        more_like_this,
+        suggest_completions,
+        suggest_terms,
+    )
+
+    multi, singles = _field_searchers(mf[3], use_actors)
+    for field, single in singles.items():
+        q = TermQuery(field=field, term="alpha")
+        calls = {
+            "mlt": lambda s: more_like_this(s, "alpha release notes on the api", field=field),
+            "common": lambda s: common_terms_query(
+                s, ["alpha", "release", "reference"], max_term_frequency=0.3, field=field
+            ),
+            "suggest_terms": lambda s: suggest_terms(s, "alpho", field=field),
+            "highlight": lambda s: highlight(s, "an alpha build with release notes", q, fragment_size=3, field=field),
+            "completions": lambda s: suggest_completions(s, "re", field=field),
+        }
+        for name, call in calls.items():
+            got, want = call(multi), call(single)
+            assert got == want, (field, name)
+            assert want.clauses if isinstance(want, BooleanQuery) else want, (field, name)  # non-trivial
+        assert multi.search(q, k=5) == single.search(q, k=5)
+
+
+def test_unknown_field_stats_raise(mf):
+    """A stats request for a field the index lacks raises instead of giving
+    df 0; the parser's default 'content' is an alias only on a single-field
+    index."""
+    from lucene_net_ray.pipelines.collectors import more_like_this
+
+    multi, singles = _field_searchers(mf[3], use_actors=False)
+    assert multi._stats_for_terms(["alpha"], "title") == {"alpha": 2}
+    for field in ("nosuch", "content", None):
+        with pytest.raises(ValueError):
+            multi._stats_for_terms(["alpha"], field)
+    with pytest.raises(ValueError, match="nosuch"):
+        more_like_this(multi, "alpha", field="nosuch")
+    title = singles["title"]
+    assert title._stats_for_terms(["alpha"], "content") == title._stats_for_terms(["alpha"]) == {"alpha": 2}
+    with pytest.raises(ValueError, match="body"):
+        title._stats_for_terms(["alpha"], "body")
+
+
+@pytest.mark.parametrize("use_actors", [False, True], ids=["in_process", "actors"])
+def test_search_is_one_fanout_per_query(mf, use_actors, monkeypatch):
+    """df comes from the driver's per-field term table, so after the first
+    query (which loads it) a multi-field search is one top_k fan-out."""
+    multi, _ = _field_searchers(mf[3], use_actors)
+    multi.search(TermQuery(field="title", term="alpha"), k=5)
+    calls: list[str] = []
+    real = Searcher._call
+    monkeypatch.setattr(Searcher, "_call", lambda self, method, *args: calls.append(method) or real(self, method, *args))
+    for text in ("title:alpha body:merge", "+title:beta +body:quickstart", 'body:"query parser"', "title:zyzzyva"):
+        calls.clear()
+        multi.search(parse_query(text), k=5)
+        assert calls == ["top_k"], text

@@ -7,9 +7,9 @@ then fails here, not in the benchmark:
   * ``MergedSearcher(dir).reader.term_stats`` and ``.postings``
   * ``codec.decode_postings``
 
-``FuzzySet.may_contain_many`` is wrapped too but no longer reached from
-``Searcher.search``: the searcher answers df from its term table, and only a
-segment group's term_stats consults the Bloom sets.
+``FuzzySet.may_contain_many`` is wrapped too, but nothing on the serving path
+reaches it: a build writes no Bloom sets, and df comes from the searcher's
+term table or from the shards' term dicts.
 """
 
 import pyarrow as pa
