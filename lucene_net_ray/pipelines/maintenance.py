@@ -1,15 +1,29 @@
-"""Index maintenance: addIndexes, expunge-deletes, add/update docs, reopen.
+"""Index maintenance: one segment rewrite behind addIndexes, expunge-deletes,
+compaction and the splitters; add/update docs; reopen.
+
+Every operation that derives new segments from committed ones only PLANS its
+output segments and runs the one Ray task ``_rewrite_segment`` over the plan
+(the SegmentMerger analog, reference Index/SegmentMerger.cs:89-176). An output
+segment is a list of source segments, each with the local docIDs it drops;
+the output's docIDs are the sources' live docs in order, densely re-based
+(MappingMultiDocsEnum semantics, reference Codecs/MappingMultiDocsEnum.cs), so
+docFreq / sumTotalTermFreq shrink to the live docs. A single source that
+drops nothing is copied verbatim. The plan builders:
 
   add_indexes      IndexWriter.AddIndexes analog (reference Index/IndexWriter.cs
-                   AddIndexes(Directory[]): import foreign segments wholesale,
-                   remapping docIDs by base offset — postings stay untouched
-                   because their docIDs are segment-local; only each segment's
-                   doc_base and its docs-table doc_id column shift).
-  expunge_deletes  IndexWriter.ForceMergeDeletes analog: rewrite segments
-                   dropping tombstoned docs with dense docID remapping
-                   (MappingMultiDocsEnum semantics, reference
-                   Codecs/MappingMultiDocsEnum.cs). docFreq / sumTotalTermFreq
-                   shrink accordingly — authentic post-expunge statistics.
+                   AddIndexes(Directory[])): every foreign segment verbatim,
+                   re-based after the ones before it.
+  split_index      IndexSplitter analog: contiguous runs of segments, each
+                   part re-based from 0.
+  expunge_deletes  IndexWriter.ForceMergeDeletes analog: each segment minus
+                   its tombstoned docs.
+  split_index_round_robin / split_index_by_filter
+                   MultiPassIndexSplitter / PKIndexSplitter analogs: each
+                   segment minus the docs another part keeps.
+  compact_segments (tiered.py) TieredMergePolicy merges: runs of whole
+                   segments into one.
+
+Besides those:
   add_documents    IndexWriter.AddDocument flush analog: append one new
                    segment to a committed index (NRT-style small flush).
   update_documents IndexWriter.UpdateDocument analog (IndexWriter.cs:1801):
@@ -32,6 +46,207 @@ import pyarrow.parquet as pq
 
 from ..state.index import IndexMeta, write_index_manifest
 
+# weakest first: a rewritten segment keeps positions only if every source has them
+_INDEX_OPTIONS = ("freqs", "positions", "offsets")
+
+
+def _seg_meta_row(meta: dict) -> dict:
+    return {
+        "seg_id": meta["seg_id"],
+        "doc_count": meta["doc_count"],
+        "sum_ttf": meta["sum_ttf"],
+        "term_count": meta["term_count"],
+        "postings": meta.get("postings", 0),
+        "postings_bytes": meta.get("postings_bytes", 0),
+        "build_sec": meta.get("metrics", {}).get("build_sec", 0.0),
+    }
+
+
+def _cat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _live_postings(readers: list, lives: list[np.ndarray], with_pos: bool):
+    """Decode each source's doc, frq and pos streams once, drop the postings
+    of dead docs, renumber live docs densely in source order, and order all
+    postings term-major. Returns (terms, codes, docs, tfs, pos_deltas) for
+    ``write_terms_and_postings``. One stable sort by term code keeps each
+    term's postings in source order, hence in new docID order (the order
+    ``lexsort((docs, codes))`` gives); it is linear on one source, which is
+    already sorted. A posting's position run is self-contained (its first
+    delta is absolute), so the pos stream follows by a run-wise gather."""
+    import pyarrow.compute as pc
+
+    from ..functions import codec
+
+    # union term dict: Arrow's string sort is UTF-8 byte order, the dict order
+    denc = pa.concat_arrays([r.term_column for r in readers]).dictionary_encode()
+    by_term = pc.sort_indices(denc.dictionary).to_numpy()
+    vocab = denc.dictionary.take(by_term)
+    rank = np.empty(by_term.size, dtype=np.int64)
+    rank[by_term] = np.arange(by_term.size)
+    term_code = rank[denc.indices.to_numpy(zero_copy_only=False)]
+
+    codes, docs, tfs, pos, run_start = [], [], [], [], []
+    first_term = doc_base = occ_base = 0
+    for r, live in zip(readers, lives):
+        n_terms = len(r.terms)
+        if n_terms:
+            df = r._df.astype(np.int64)
+            post = r._post
+            deltas = codec.vbyte_decode(post[: int(r._doc_off[-1] + r._doc_len[-1])]).astype(np.int64)
+            tf = codec.vbyte_decode(
+                post[int(r._frq_off[0]) : int(r._frq_off[-1] + r._frq_len[-1])]
+            ).astype(np.int64)
+            starts = np.concatenate(([0], np.cumsum(df)))[:-1]
+            cum = np.cumsum(deltas)
+            local = cum - np.repeat(cum[starts] - deltas[starts], df)
+            keep = live[local]
+            codes.append(np.repeat(term_code[first_term : first_term + n_terms], df)[keep])
+            docs.append((np.cumsum(live) - 1 + doc_base)[local[keep]])
+            tfs.append(tf[keep])
+            if with_pos:
+                p = codec.vbyte_decode(
+                    post[int(r._pos_off[0]) : int(r._pos_off[-1] + r._pos_len[-1])]
+                ).astype(np.int64)
+                pos.append(p)
+                run_start.append((occ_base + np.cumsum(tf) - tf)[keep])
+                occ_base += p.size
+        first_term += n_terms
+        doc_base += int(live.sum())
+    codes = _cat(codes)
+    order = np.argsort(codes, kind="stable")
+    codes, docs, tfs = codes[order], _cat(docs)[order], _cat(tfs)[order]
+    present = np.zeros(by_term.size, dtype=bool)
+    present[codes] = True
+    pos_deltas = None
+    if with_pos:
+        run_off = np.cumsum(tfs) - tfs
+        idx = np.repeat(_cat(run_start)[order] - run_off, tfs) + np.arange(int(tfs.sum()))
+        pos_deltas = _cat(pos)[idx]
+    return vocab.filter(pa.array(present)), (np.cumsum(present) - 1)[codes], docs, tfs, pos_deltas
+
+
+def _rewrite_segment(batch: pa.Table) -> pa.Table:
+    """One Ray task per output segment: write ``seg{new_id}`` under
+    ``out_dir`` from the live docs of its sources (``sources[i]`` minus the
+    local docIDs ``dead[i]``), docIDs from ``new_base``, and commit it like
+    a build (resume-skip, fsynced meta.json, temp dir renamed into place).
+    Returns the segments' manifest rows."""
+    from ..state.segment import (
+        SegmentReader,
+        commit_segment_dir,
+        committed_segment_meta,
+        write_terms_and_postings,
+    )
+
+    out_rows = []
+    for spec in batch.to_pylist():
+        seg_name = f"seg{spec['new_id']:06d}"
+        final_dir = os.path.join(spec["out_dir"], "segments", seg_name)
+        meta = committed_segment_meta(final_dir)
+        if meta is None:
+            tmp = final_dir + f".tmp{os.getpid()}"
+            os.makedirs(tmp, exist_ok=True)
+            src_dirs = spec["sources"]
+            readers = [SegmentReader(d) for d in src_dirs]
+            lives = []
+            docs_tbls = []
+            for d, r, dead in zip(src_dirs, readers, spec["dead"]):
+                live = np.ones(r.doc_count, dtype=bool)
+                live[np.asarray(dead, dtype=np.int64)] = False
+                lives.append(live)
+                t = pq.read_table(os.path.join(d, "docs.parquet"))
+                docs_tbls.append(t.filter(pa.array(live)) if dead else t)
+            docs_tbl = pa.concat_tables(docs_tbls, promote_options="default")
+            index_options = min(
+                (r.meta.get("index_options", "freqs") for r in readers), key=_INDEX_OPTIONS.index
+            )
+            if len(readers) == 1 and not spec["dead"][0]:
+                for f in ("terms.parquet", "postings.bin"):
+                    shutil.copy2(os.path.join(src_dirs[0], f), os.path.join(tmp, f))
+                enc = {k: readers[0].meta[k] for k in ("term_count", "postings", "postings_bytes")}
+            else:
+                terms, codes, docs, tfs, pos_deltas = _live_postings(
+                    readers, lives, index_options != "freqs"
+                )
+                enc = write_terms_and_postings(
+                    tmp,
+                    uniq_terms=terms,
+                    codes=codes,
+                    docs_sorted=docs,
+                    tfs_sorted=tfs,
+                    pos_deltas=pos_deltas,
+                    norms=docs_tbl.column("norm").to_numpy(),
+                )
+            n_docs = docs_tbl.num_rows
+            docs_tbl = docs_tbl.set_column(
+                docs_tbl.column_names.index("doc_id"),
+                "doc_id",
+                pa.array(spec["new_base"] + np.arange(n_docs, dtype=np.int64)),
+            )
+            pq.write_table(docs_tbl, os.path.join(tmp, "docs.parquet"))
+            sum_ttf = int(docs_tbl.column("field_len").to_numpy().astype(np.int64).sum())
+            meta = {
+                **readers[0].meta,
+                **enc,
+                "seg_id": spec["new_id"],
+                "name": seg_name,
+                "doc_base": int(spec["new_base"]),
+                "doc_count": n_docs,
+                "sum_ttf": sum_ttf,
+                "index_options": index_options,
+                "lineage": spec["lineage"],
+            }
+            meta["metrics"] = {**meta.get("metrics", {}), "tokens": sum_ttf}
+            commit_segment_dir(tmp, final_dir, meta)
+        out_rows.append(_seg_meta_row(meta))
+    return pa.Table.from_pylist(out_rows)
+
+
+def _rewrite(out_dir: str, plan: list[dict]) -> list[dict]:
+    """Run ``_rewrite_segment`` over a plan, one task per output segment.
+    The plan lists the output segments in new seg_id order, each a dict of
+    ``sources`` (segment dirs), ``n_docs`` (its live doc count),
+    ``lineage`` and optionally ``dead`` (per source, the local docIDs it
+    drops). Returns the new segments' manifest rows in seg_id order."""
+    import ray.data
+
+    specs = []
+    new_base = 0
+    for new_id, seg in enumerate(plan):
+        specs.append(
+            {"dead": [[] for _ in seg["sources"]], **seg,
+             "new_id": new_id, "new_base": new_base, "out_dir": out_dir}
+        )
+        new_base += seg["n_docs"]
+    os.makedirs(os.path.join(out_dir, "segments"), exist_ok=True)
+    rows = (
+        ray.data.from_items(specs)
+        .map_batches(_rewrite_segment, batch_size=None, batch_format="pyarrow", num_cpus=1)
+        .take_all()
+    )
+    return sorted(rows, key=lambda r: r["seg_id"])
+
+
+def _commit_manifest(out_dir: str, like: IndexMeta, seg_rows: list[dict], **fields) -> IndexMeta:
+    """Write ``out_dir``'s manifest over ``seg_rows``: analyzer, content
+    column and index options from ``like``, then ``fields``."""
+    write_index_manifest(
+        out_dir,
+        {
+            "version": 1,
+            "index_options": like.manifest.get("index_options", "freqs"),
+            "analyzer": like.manifest.get("analyzer"),
+            "content_column": like.manifest.get("content_column"),
+            "segments": seg_rows,
+            "max_doc": int(sum(r["doc_count"] for r in seg_rows)),
+            "sum_ttf": int(sum(r["sum_ttf"] for r in seg_rows)),
+            **fields,
+        },
+    )
+    return IndexMeta(out_dir)
+
 
 def add_indexes(out_dir: str, *source_indexes: str | IndexMeta) -> IndexMeta:
     """Combine several committed indexes into a new one (copy-based import).
@@ -47,67 +262,18 @@ def add_indexes(out_dir: str, *source_indexes: str | IndexMeta) -> IndexMeta:
     if len(analyzers) != 1:
         raise ValueError("cannot add indexes with different analyzer configs")
     index_opts = {s.manifest.get("index_options", "freqs") for s in sources}
-
-    os.makedirs(os.path.join(out_dir, "segments"), exist_ok=True)
-    seg_rows = []
-    new_id = 0
-    doc_base = 0
-    for src in sources:
-        for seg_dir, row in zip(src.segment_dirs, src.manifest["segments"]):
-            new_name = f"seg{new_id:06d}"
-            dst = os.path.join(out_dir, "segments", new_name)
-            if not os.path.exists(os.path.join(dst, "meta.json")):
-                tmp = dst + f".tmp{os.getpid()}"
-                shutil.copytree(seg_dir, tmp, dirs_exist_ok=True)
-                # re-base the docs table's global doc_id column
-                docs_path = os.path.join(tmp, "docs.parquet")
-                t = pq.read_table(docs_path)
-                n = t.num_rows
-                t = t.set_column(
-                    t.column_names.index("doc_id"),
-                    "doc_id",
-                    pa.array(doc_base + np.arange(n, dtype=np.int64)),
-                )
-                pq.write_table(t, docs_path)
-                with open(os.path.join(tmp, "meta.json")) as f:
-                    meta = json.load(f)
-                meta["seg_id"] = new_id
-                meta["name"] = new_name
-                meta["doc_base"] = doc_base
-                meta["lineage"] = {"imported_from": seg_dir, **meta.get("lineage", {})}
-                with open(os.path.join(tmp, "meta.json"), "w") as f:
-                    json.dump(meta, f, indent=1, sort_keys=True)
-                if os.path.exists(dst):
-                    shutil.rmtree(tmp)
-                else:
-                    os.replace(tmp, dst)
-            seg_rows.append(
-                {
-                    "seg_id": new_id,
-                    "doc_count": row["doc_count"],
-                    "sum_ttf": row["sum_ttf"],
-                    "term_count": row["term_count"],
-                    "postings": row.get("postings", 0),
-                    "postings_bytes": row.get("postings_bytes", 0),
-                    "build_sec": row.get("build_sec", 0.0),
-                }
-            )
-            doc_base += row["doc_count"]
-            new_id += 1
-    write_index_manifest(
+    plan = [
+        {"sources": [d], "n_docs": row["doc_count"], "lineage": {"imported_from": d}}
+        for src in sources
+        for d, row in zip(src.segment_dirs, src.manifest["segments"])
+    ]
+    return _commit_manifest(
         out_dir,
-        {
-            "version": 1,
-            "index_options": index_opts.pop() if len(index_opts) == 1 else "freqs",
-            "analyzer": sources[0].manifest.get("analyzer"),
-            "content_column": sources[0].manifest.get("content_column"),
-            "segments": seg_rows,
-            "max_doc": doc_base,
-            "sum_ttf": int(sum(r["sum_ttf"] for r in seg_rows)),
-            "added_from": [s.index_dir for s in sources],
-        },
+        sources[0],
+        _rewrite(out_dir, plan),
+        index_options=index_opts.pop() if len(index_opts) == 1 else "freqs",
+        added_from=[s.index_dir for s in sources],
     )
-    return IndexMeta(out_dir)
 
 
 def split_index(index_dir: str | IndexMeta, out_dirs: list[str]) -> list[IndexMeta]:
@@ -125,178 +291,43 @@ def split_index(index_dir: str | IndexMeta, out_dirs: list[str]) -> list[IndexMe
     i = 0
     for p, out_dir in enumerate(out_dirs):
         take = base + (1 if p < extra else 0)
-        part_dirs = seg_dirs[i : i + take]
         part_rows = src.manifest["segments"][i : i + take]
+        plan = [
+            {"sources": [d], "n_docs": row["doc_count"], "lineage": {"split_from": d}}
+            for d, row in zip(seg_dirs[i : i + take], part_rows)
+        ]
         i += take
-        # reuse add_indexes' import machinery via a temporary single-part view
-        os.makedirs(os.path.join(out_dir, "segments"), exist_ok=True)
-        seg_rows = []
-        doc_base = 0
-        for new_id, (seg_dir, row) in enumerate(zip(part_dirs, part_rows)):
-            new_name = f"seg{new_id:06d}"
-            dst = os.path.join(out_dir, "segments", new_name)
-            if not os.path.exists(os.path.join(dst, "meta.json")):
-                tmp = dst + f".tmp{os.getpid()}"
-                shutil.copytree(seg_dir, tmp, dirs_exist_ok=True)
-                docs_path = os.path.join(tmp, "docs.parquet")
-                t = pq.read_table(docs_path)
-                t = t.set_column(
-                    t.column_names.index("doc_id"),
-                    "doc_id",
-                    pa.array(doc_base + np.arange(t.num_rows, dtype=np.int64)),
-                )
-                pq.write_table(t, docs_path)
-                with open(os.path.join(tmp, "meta.json")) as f:
-                    meta = json.load(f)
-                meta.update(seg_id=new_id, name=new_name, doc_base=doc_base)
-                meta["lineage"] = {"split_from": seg_dir, **meta.get("lineage", {})}
-                with open(os.path.join(tmp, "meta.json"), "w") as f:
-                    json.dump(meta, f, indent=1, sort_keys=True)
-                if os.path.exists(dst):
-                    shutil.rmtree(tmp)
-                else:
-                    os.replace(tmp, dst)
-            seg_rows.append({**row, "seg_id": new_id})
-            doc_base += row["doc_count"]
-        write_index_manifest(
-            out_dir,
-            {
-                "version": 1,
-                "index_options": src.manifest.get("index_options", "freqs"),
-                "analyzer": src.manifest.get("analyzer"),
-                "content_column": src.manifest.get("content_column"),
-                "segments": seg_rows,
-                "max_doc": doc_base,
-                "sum_ttf": int(sum(r["sum_ttf"] for r in seg_rows)),
-                "split_from": src.index_dir,
-            },
-        )
-        out.append(IndexMeta(out_dir))
+        # a verbatim copy keeps its source row's extra keys (content_bytes, sort range)
+        seg_rows = [{**row, **new} for row, new in zip(part_rows, _rewrite(out_dir, plan))]
+        out.append(_commit_manifest(out_dir, src, seg_rows, split_from=src.index_dir))
     return out
 
 
-def _expunge_segment_task(batch: pa.Table) -> pa.Table:
-    """Rewrite one segment minus its tombstoned docs (stateless Ray task).
-
-    Decodes the segment's doc/frq/pos streams in ONE vectorized pass each,
-    masks postings of deleted docs, densely remaps local docIDs, and re-emits
-    via the shared stream writer. Position streams need no re-delta: each
-    posting's positions are self-contained (first delta is absolute)."""
-    from ..functions import codec
-    from ..state.segment import SegmentReader, _atomic_write_json, write_terms_and_postings
-
-    out_rows = []
-    for row in batch.to_pylist():
-        seg_dir = row["seg_dir"]
-        new_id = row["new_id"]
-        new_base = row["new_base"]
-        out_dir = row["out_dir"]
-        local_dels = np.asarray(row["local_dels"], dtype=np.int64)
-        seg_name = f"seg{new_id:06d}"
-        final_dir = os.path.join(out_dir, "segments", seg_name)
-        if os.path.exists(os.path.join(final_dir, "meta.json")):
-            with open(os.path.join(final_dir, "meta.json")) as f:
-                meta = json.load(f)
-            out_rows.append(_seg_meta_row(meta))
-            continue
-        tmp = final_dir + f".tmp{os.getpid()}"
-        os.makedirs(tmp, exist_ok=True)
-        r = SegmentReader(seg_dir)
-        doc_count = r.doc_count
-        live_mask = np.ones(doc_count, dtype=bool)
-        live_mask[local_dels] = False
-        n_live = int(live_mask.sum())
-
-        docs_tbl = pq.read_table(os.path.join(seg_dir, "docs.parquet"))
-        docs_tbl = docs_tbl.filter(pa.array(live_mask))
-        docs_tbl = docs_tbl.set_column(
-            docs_tbl.column_names.index("doc_id"),
-            "doc_id",
-            pa.array(new_base + np.arange(n_live, dtype=np.int64)),
-        )
-
-        n_terms = len(r.terms)
-        if n_terms and local_dels.size:
-            df = r._df.astype(np.int64)
-            post = r._post
-            doc_end = int(r._doc_off[-1] + r._doc_len[-1])
-            frq_start = int(r._frq_off[0])
-            frq_end = int(r._frq_off[-1] + r._frq_len[-1])
-            deltas = codec.vbyte_decode(post[0:doc_end]).astype(np.int64)
-            tfs = codec.vbyte_decode(post[frq_start:frq_end]).astype(np.int64)
-            starts = np.concatenate(([0], np.cumsum(df)))[:-1]
-            cum = np.cumsum(deltas)
-            term_base = cum[starts] - deltas[starts]
-            docs_local = cum - np.repeat(term_base, df)
-            codes = np.repeat(np.arange(n_terms, dtype=np.int64), df)
-            keep = live_mask[docs_local]
-            new_id_of = np.cumsum(live_mask) - 1  # old local -> new local (live only)
-            docs_new = new_id_of[docs_local[keep]]
-            codes_k = codes[keep]
-            tfs_k = tfs[keep]
-            if r.has_positions:
-                pos_start = int(r._pos_off[0])
-                pos_end = int(r._pos_off[-1] + r._pos_len[-1])
-                pos_all = codec.vbyte_decode(post[pos_start:pos_end]).astype(np.int64)
-                occ_keep = np.repeat(keep, tfs)
-                pos_deltas_k = pos_all[occ_keep]
-            else:
-                pos_deltas_k = None
-            uniq_codes, codes_dense = np.unique(codes_k, return_inverse=True)
-            uniq_terms_new = r._terms.take(pa.array(uniq_codes, type=pa.int64()))
-            norms_new = docs_tbl.column("norm").to_numpy()
-            enc = write_terms_and_postings(
-                tmp,
-                uniq_terms=uniq_terms_new,
-                codes=codes_dense.astype(np.int64),
-                docs_sorted=docs_new,
-                tfs_sorted=tfs_k,
-                pos_deltas=pos_deltas_k,
-                norms=norms_new,
+def _keep_plan(src: IndexMeta, keep: np.ndarray) -> list[dict]:
+    """Rewrite plan keeping only the sorted global docIDs ``keep``: each
+    source segment with a kept doc becomes one output segment, minus the
+    rest of its docs; segments with none are dropped."""
+    plan = []
+    base = 0
+    for seg_dir, row in zip(src.segment_dirs, src.manifest["segments"]):
+        count = row["doc_count"]
+        lo, hi = np.searchsorted(keep, [base, base + count])
+        if hi > lo:
+            dead = np.setdiff1d(np.arange(count), keep[lo:hi] - base, assume_unique=True)
+            plan.append(
+                {"sources": [seg_dir], "dead": [dead.tolist()], "n_docs": int(hi - lo),
+                 "lineage": {"expunged_from": seg_dir, "n_deleted": int(dead.size)}}
             )
-        else:
-            # nothing deleted in this segment: reuse postings files verbatim
-            shutil.copy2(os.path.join(seg_dir, "terms.parquet"), os.path.join(tmp, "terms.parquet"))
-            shutil.copy2(os.path.join(seg_dir, "postings.bin"), os.path.join(tmp, "postings.bin"))
-            enc = {
-                "term_count": r.meta["term_count"],
-                "postings": r.meta["postings"],
-                "postings_bytes": r.meta["postings_bytes"],
-            }
-        pq.write_table(docs_tbl, os.path.join(tmp, "docs.parquet"))
-        sum_ttf = int(docs_tbl.column("field_len").to_numpy().astype(np.int64).sum()) if n_live else 0
-        meta = {
-            **r.meta,
-            "seg_id": new_id,
-            "name": seg_name,
-            "doc_base": int(new_base),
-            "doc_count": n_live,
-            "sum_ttf": sum_ttf,
-            "term_count": enc["term_count"],
-            "postings": enc["postings"],
-            "postings_bytes": enc["postings_bytes"],
-            "lineage": {"expunged_from": seg_dir, "n_deleted": int(local_dels.size)},
-        }
-        meta["metrics"] = {**r.meta.get("metrics", {}), "tokens": sum_ttf}
-        _atomic_write_json(os.path.join(tmp, "meta.json"), meta)
-        if os.path.exists(final_dir):
-            shutil.rmtree(tmp, ignore_errors=True)
-        else:
-            os.replace(tmp, final_dir)
-        out_rows.append(_seg_meta_row(meta))
-    return pa.Table.from_pylist(out_rows)
+        base += count
+    return plan
 
 
-def _seg_meta_row(meta: dict) -> dict:
-    return {
-        "seg_id": meta["seg_id"],
-        "doc_count": meta["doc_count"],
-        "sum_ttf": meta["sum_ttf"],
-        "term_count": meta["term_count"],
-        "postings": meta.get("postings", 0),
-        "postings_bytes": meta.get("postings_bytes", 0),
-        "build_sec": meta.get("metrics", {}).get("build_sec", 0.0),
-    }
+def _alive(src: IndexMeta) -> np.ndarray:
+    from ..state.deletes import load_deleted
+
+    return np.setdiff1d(
+        np.arange(src.max_doc, dtype=np.int64), load_deleted(src.index_dir), assume_unique=True
+    )
 
 
 def expunge_deletes(index_dir: str | IndexMeta, out_dir: str) -> IndexMeta:
@@ -306,61 +337,16 @@ def expunge_deletes(index_dir: str | IndexMeta, out_dir: str) -> IndexMeta:
     segments are renumbered, docIDs are re-based by prefix sums over live
     counts, and docFreq / ttf / sum_ttf shrink to the live corpus (authentic
     post-expunge Lucene statistics — idf changes are expected). Runs one Ray
-    task per segment; the tombstone set ships once in each task's descriptor
-    row (at extreme delete volumes this would become a Dataset join against
-    the docs tables instead).
+    task per segment; each segment's dead local docIDs ship in its task's
+    plan row (at extreme delete volumes this would become a Dataset join
+    against the docs tables instead).
     """
-    import ray
-    import ray.data
-
     src = index_dir if isinstance(index_dir, IndexMeta) else IndexMeta(index_dir)
-    from ..state.deletes import load_deleted
-
-    deleted = load_deleted(src.index_dir)
-    os.makedirs(os.path.join(out_dir, "segments"), exist_ok=True)
-
-    rows = []
-    old_base = 0
-    new_base = 0
-    new_id = 0
-    for seg_dir, seg_row in zip(src.segment_dirs, src.manifest["segments"]):
-        count = seg_row["doc_count"]
-        local = deleted[(deleted >= old_base) & (deleted < old_base + count)] - old_base
-        n_live = count - local.size
-        if n_live > 0:
-            rows.append(
-                {
-                    "seg_dir": seg_dir,
-                    "new_id": new_id,
-                    "new_base": new_base,
-                    "out_dir": out_dir,
-                    "local_dels": local.tolist(),
-                }
-            )
-            new_id += 1
-            new_base += n_live
-        old_base += count
-
-    ds = ray.data.from_items(rows)
-    seg_rows = ds.map_batches(
-        _expunge_segment_task, batch_size=None, batch_format="pyarrow", num_cpus=1
-    ).take_all()
-    seg_rows.sort(key=lambda r: r["seg_id"])
-    write_index_manifest(
-        out_dir,
-        {
-            "version": 1,
-            "index_options": src.manifest.get("index_options", "freqs"),
-            "analyzer": src.manifest.get("analyzer"),
-            "content_column": src.manifest.get("content_column"),
-            "segments": seg_rows,
-            "max_doc": int(sum(r["doc_count"] for r in seg_rows)),
-            "sum_ttf": int(sum(r["sum_ttf"] for r in seg_rows)),
-            "expunged_from": src.index_dir,
-            "n_expunged": int(deleted.size),
-        },
+    alive = _alive(src)
+    seg_rows = _rewrite(out_dir, _keep_plan(src, alive))
+    return _commit_manifest(
+        out_dir, src, seg_rows, expunged_from=src.index_dir, n_expunged=int(src.max_doc - alive.size)
     )
-    return IndexMeta(out_dir)
 
 
 def add_documents(
@@ -503,59 +489,27 @@ def sort_index(
     return IndexMeta(out_dir)
 
 
-def _clone_with_tombstones(src: IndexMeta, tombstones: "np.ndarray") -> str:
-    """Hardlink clone of an index's immutable segments (O(files), no data
-    copy) carrying a fresh tombstone set — the shared substrate of the
-    filter/round-robin splitters."""
-    import tempfile
-
-    from ..state.deletes import write_deletes
-
-    tmp = tempfile.mkdtemp(prefix="lnr_split_", dir="/tmp")
-    os.makedirs(os.path.join(tmp, "segments"))
-    for d in src.segment_dirs:
-        dst = os.path.join(tmp, "segments", os.path.basename(d.rstrip("/")))
-        os.makedirs(dst)
-        for f in os.listdir(d):
-            try:
-                os.link(os.path.join(d, f), os.path.join(dst, f))
-            except OSError:
-                shutil.copy2(os.path.join(d, f), os.path.join(dst, f))
-    write_index_manifest(tmp, dict(src.manifest))
-    if tombstones.size:
-        write_deletes(tmp, tombstones)
-    return tmp
-
-
 def split_index_round_robin(
     index_dir: str | IndexMeta, out_dirs: list[str]
 ) -> list[IndexMeta]:
     """MultiPassIndexSplitter analog (reference
     Misc/Index/MultiPassIndexSplitter.cs: N passes over the source, each
     keeping every Nth doc via negated-deletes views, then rewriting): part p
-    keeps live docs with position % N == p; each part is a hardlink clone +
-    complement tombstones pushed through the expunge rewrite (one Ray task
-    per segment per part — the reference's N passes, parallelized)."""
-    from ..state.deletes import load_deleted
-
+    keeps live docs with position % N == p; each part is one segment
+    rewrite per source segment minus the docs it does not keep (the
+    reference's N passes, parallelized)."""
     src = index_dir if isinstance(index_dir, IndexMeta) else IndexMeta(index_dir)
     n = len(out_dirs)
     if n < 1:
         raise ValueError("need at least one output")
-    alive = np.setdiff1d(
-        np.arange(src.max_doc, dtype=np.int64), load_deleted(src.index_dir),
-        assume_unique=True,
-    )
-    out = []
-    all_ids = np.arange(src.max_doc, dtype=np.int64)
-    for p, out_dir in enumerate(out_dirs):
-        keep = alive[p::n]
-        tmp = _clone_with_tombstones(src, np.setdiff1d(all_ids, keep))
-        try:
-            out.append(expunge_deletes(tmp, out_dir))
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
-    return out
+    alive = _alive(src)
+    return [_split_part(src, alive[p::n], out_dir) for p, out_dir in enumerate(out_dirs)]
+
+
+def _split_part(src: IndexMeta, keep: np.ndarray, out_dir: str) -> IndexMeta:
+    """One splitter output: ``src`` with only the global docIDs ``keep``."""
+    seg_rows = _rewrite(out_dir, _keep_plan(src, keep))
+    return _commit_manifest(out_dir, src, seg_rows, split_from=src.index_dir)
 
 
 def split_index_by_filter(
@@ -567,15 +521,11 @@ def split_index_by_filter(
     authentic post-split statistics).
 
     Plan: evaluate the filter once (per-segment scorers, membership only),
-    clone the immutable segments into two temp views by HARDLINK (O(files),
-    no data copy), write each view's complement as tombstones, and reuse the
-    expunge pipeline (one Ray task per segment) for the rewrite — the same
-    machinery ForceMergeDeletes exercises, so remapping and stat shrinkage
-    are already tested. The matching-id array is the only driver-resident
-    state (8 bytes/doc; the reference's per-segment bitset equivalent)."""
-    import tempfile
-
-    from ..state.deletes import load_deleted, write_deletes
+    then rewrite every segment twice, once minus the docs the other side
+    keeps — the same rewrite ForceMergeDeletes runs, so remapping and stat
+    shrinkage are already tested. The matching-id array is the only
+    driver-resident state (8 bytes/doc; the reference's per-segment bitset
+    equivalent)."""
     from .search import Searcher
 
     src = index_dir if isinstance(index_dir, IndexMeta) else IndexMeta(index_dir)
@@ -583,23 +533,7 @@ def split_index_by_filter(
     matching = np.unique(
         np.array([d for d, _ in s.scored_docs(q)], dtype=np.int64)
     )
-    already = load_deleted(src.index_dir)
-    alive = np.setdiff1d(
-        np.arange(src.max_doc, dtype=np.int64), already, assume_unique=True
-    )
+    alive = _alive(src)
     match_alive = np.intersect1d(matching, alive, assume_unique=True)
     rest_alive = np.setdiff1d(alive, match_alive, assume_unique=True)
-
-    tmp_a = _clone_with_tombstones(
-        src, np.setdiff1d(np.arange(src.max_doc, dtype=np.int64), match_alive)
-    )
-    tmp_b = _clone_with_tombstones(
-        src, np.setdiff1d(np.arange(src.max_doc, dtype=np.int64), rest_alive)
-    )
-    try:
-        meta_a = expunge_deletes(tmp_a, out_a)
-        meta_b = expunge_deletes(tmp_b, out_b)
-    finally:
-        shutil.rmtree(tmp_a, ignore_errors=True)
-        shutil.rmtree(tmp_b, ignore_errors=True)
-    return meta_a, meta_b
+    return _split_part(src, match_alive, out_a), _split_part(src, rest_alive, out_b)

@@ -24,7 +24,7 @@ import ray
 from ..query import Query, TermQuery
 from ..state.index import IndexMeta
 from ..state.segment import SegmentReader
-from .scorer import FIELD_LEAVES, SegmentScorer, query_field_terms
+from .scorer import FIELD_LEAVES, SegmentScorer, query_field_terms, query_fields
 from .search import SERVING_ACTOR_OPTIONS, Searcher, _SegmentGroup
 
 
@@ -173,11 +173,12 @@ class MultiFieldSearcher(Searcher):
     def _query_stats(self, q: Query) -> dict:
         """{"fields": {field: {max_doc, sum_ttf, df}}}, df of the tree's
         (field, term) pairs from the driver's term table; a field the index
-        lacks gets no stats and matches nothing."""
+        lacks raises ValueError, as in Searcher."""
+        for f in query_fields(q):
+            self._field(f)
         wanted: dict[str, set[str]] = {f: set() for f in self.fields}
         for f, t in query_field_terms(q):
-            if f in wanted:
-                wanted[f].add(t)
+            wanted[self._field(f)].add(t)
         return {
             "fields": {
                 f: {"max_doc": m.max_doc, "sum_ttf": m.sum_ttf, "df": self._gather_df(sorted(wanted[f]), f)}

@@ -4,11 +4,11 @@ Reference: /root/reference/src/Lucene.Net.Core/Index/TieredMergePolicy.cs:79-86
 — candidate merges take <=10 segments, tiers allow ~10 same-size segments,
 small segments are rounded up to a 2 MB floor so "many tiny flushes" count as
 one tier, merged segments are capped (5 GB). ``plan_merges`` reproduces that
-selection over segment postings_bytes; ``compact_segments`` executes the
-chosen merges as one Ray task per merge, each concatenating its inputs into
-ONE new segment (SegmentMerger.cs:89-176 concatenative semantics: docIDs
-re-based by input order, term dicts unioned, per-term postings spliced in
-segment order — the same O(1) vByte first-delta splice as the big merge).
+selection over segment postings_bytes; ``compact_segments`` turns the chosen
+merges into a plan for the one segment rewrite of ``maintenance`` (the
+SegmentMerger analog, SegmentMerger.cs:89-176 concatenative semantics: docIDs
+re-based by input order, term dicts unioned, each term's postings in segment
+order); untouched segments are copied verbatim.
 
 This is the maintenance path for indexes that accumulate small NRT flushes
 via add_documents: compaction keeps the SEGMENTED form (actor serving,
@@ -18,15 +18,9 @@ the term-partitioned serving layout.
 
 from __future__ import annotations
 
-import json
-import os
-import shutil
-
 import numpy as np
-import pyarrow as pa
-import pyarrow.parquet as pq
 
-from ..state.index import IndexMeta, write_index_manifest
+from ..state.index import IndexMeta
 
 DEFAULT_MAX_MERGE_AT_ONCE = 10  # TieredMergePolicy.cs:79 maxMergeAtOnce
 DEFAULT_SEGS_PER_TIER = 10.0    # :86 segmentsPerTier
@@ -84,155 +78,6 @@ def plan_merges(
     return merges
 
 
-def _concat_segments_task(batch: pa.Table) -> pa.Table:
-    """One Ray task: splice several source segments into one new segment."""
-    from ..functions import codec
-    from ..state.segment import SegmentReader, _atomic_write_json
-
-    out_rows = []
-    for row in batch.to_pylist():
-        src_dirs = row["src_dirs"]
-        new_id = row["new_id"]
-        new_base = row["new_base"]
-        out_dir = row["out_dir"]
-        seg_name = f"seg{new_id:06d}"
-        final_dir = os.path.join(out_dir, "segments", seg_name)
-        if os.path.exists(os.path.join(final_dir, "meta.json")):
-            with open(os.path.join(final_dir, "meta.json")) as f:
-                out_rows.append(_row_of(json.load(f)))
-            continue
-        tmp = final_dir + f".tmp{os.getpid()}"
-        os.makedirs(tmp, exist_ok=True)
-        if len(src_dirs) == 1:
-            # singleton "merge": import the segment verbatim (docs re-based)
-            r = SegmentReader(src_dirs[0])
-            shutil.copy2(os.path.join(src_dirs[0], "terms.parquet"), os.path.join(tmp, "terms.parquet"))
-            shutil.copy2(os.path.join(src_dirs[0], "postings.bin"), os.path.join(tmp, "postings.bin"))
-            docs_tbl = pq.read_table(os.path.join(src_dirs[0], "docs.parquet"))
-            meta = dict(r.meta)
-        else:
-            readers = [SegmentReader(d) for d in src_dirs]
-            has_pos = all(r.has_positions for r in readers)
-            # union term-major arrays: decode each source's full streams and
-            # emit (term, docid+base, tf[, pos]) sorted by (term, doc)
-            all_terms: list = []
-            for r in readers:
-                all_terms.append(r.terms)
-            vocab = np.unique(np.concatenate(all_terms))
-            codes_parts, docs_parts, tfs_parts, pos_parts = [], [], [], []
-            base = 0
-            for r in readers:
-                n_terms = len(r.terms)
-                if n_terms:
-                    df = r._df.astype(np.int64)
-                    post = r._post
-                    doc_end = int(r._doc_off[-1] + r._doc_len[-1])
-                    frq_start = int(r._frq_off[0])
-                    frq_end = int(r._frq_off[-1] + r._frq_len[-1])
-                    deltas = codec.vbyte_decode(post[0:doc_end]).astype(np.int64)
-                    tfs = codec.vbyte_decode(post[frq_start:frq_end]).astype(np.int64)
-                    starts = np.concatenate(([0], np.cumsum(df)))[:-1]
-                    cum = np.cumsum(deltas)
-                    term_base = cum[starts] - deltas[starts]
-                    docs_local = cum - np.repeat(term_base, df)
-                    local_rank = np.searchsorted(vocab, r.terms).astype(np.int64)
-                    codes_parts.append(np.repeat(local_rank, df))
-                    docs_parts.append(docs_local + base)
-                    tfs_parts.append(tfs)
-                    if has_pos:
-                        pos_start = int(r._pos_off[0])
-                        pos_end = int(r._pos_off[-1] + r._pos_len[-1])
-                        pos_parts.append(
-                            (codec.vbyte_decode(post[pos_start:pos_end]).astype(np.int64), tfs, np.repeat(local_rank, df), docs_local + base)
-                        )
-                base += r.doc_count
-            codes = np.concatenate(codes_parts) if codes_parts else np.empty(0, dtype=np.int64)
-            docs = np.concatenate(docs_parts) if docs_parts else np.empty(0, dtype=np.int64)
-            tfs = np.concatenate(tfs_parts) if tfs_parts else np.empty(0, dtype=np.int64)
-            order = np.lexsort((docs, codes))
-            codes, docs, tfs = codes[order], docs[order], tfs[order]
-            if has_pos and pos_parts:
-                # the occurrence stream must follow the merged posting order;
-                # per-posting pos runs are self-contained (first delta is the
-                # absolute position), so permuting them run-wise is a pure
-                # vectorized gather (range-expand idiom)
-                pos_concat = np.concatenate([p[0] for p in pos_parts])
-                src_pos_base = np.concatenate(
-                    ([0], np.cumsum([p[0].size for p in pos_parts])[:-1])
-                ).astype(np.int64)
-                starts_pre = np.concatenate(
-                    [
-                        b + np.concatenate(([0], np.cumsum(tp)))[:-1]
-                        for b, (_, tp, _, _) in zip(src_pos_base, pos_parts)
-                    ]
-                ).astype(np.int64)
-                lens_pre = np.concatenate([tp for (_, tp, _, _) in pos_parts])
-                starts_m = starts_pre[order]
-                lens_m = lens_pre[order]
-                total = int(lens_m.sum())
-                cum = np.concatenate(([0], np.cumsum(lens_m)[:-1]))
-                idx = np.repeat(starts_m, lens_m) + (
-                    np.arange(total, dtype=np.int64) - np.repeat(cum, lens_m)
-                )
-                pos_deltas = pos_concat[idx]
-            else:
-                pos_deltas = None
-            from ..state.segment import write_terms_and_postings
-
-            docs_tbls = [pq.read_table(os.path.join(d, "docs.parquet")) for d in src_dirs]
-            docs_tbl = pa.concat_tables(docs_tbls, promote_options="default")
-            norms = docs_tbl.column("norm").to_numpy()
-            enc = write_terms_and_postings(
-                tmp,
-                uniq_terms=pa.array(vocab, type=pa.string()),
-                codes=codes,
-                docs_sorted=docs,
-                tfs_sorted=tfs,
-                pos_deltas=pos_deltas,
-                norms=norms,
-            )
-            meta = dict(readers[0].meta)
-            meta.update(
-                term_count=enc["term_count"],
-                postings=enc["postings"],
-                postings_bytes=enc["postings_bytes"],
-            )
-        n_docs = docs_tbl.num_rows
-        docs_tbl = docs_tbl.set_column(
-            docs_tbl.column_names.index("doc_id"),
-            "doc_id",
-            pa.array(new_base + np.arange(n_docs, dtype=np.int64)),
-        )
-        pq.write_table(docs_tbl, os.path.join(tmp, "docs.parquet"))
-        meta.update(
-            seg_id=new_id,
-            name=seg_name,
-            doc_base=int(new_base),
-            doc_count=int(n_docs),
-            sum_ttf=int(docs_tbl.column("field_len").to_numpy().astype(np.int64).sum()),
-            lineage={"compacted_from": list(src_dirs)},
-        )
-        _atomic_write_json(os.path.join(tmp, "meta.json"), meta)
-        if os.path.exists(final_dir):
-            shutil.rmtree(tmp, ignore_errors=True)
-        else:
-            os.replace(tmp, final_dir)
-        out_rows.append(_row_of(meta))
-    return pa.Table.from_pylist(out_rows)
-
-
-def _row_of(meta: dict) -> dict:
-    return {
-        "seg_id": meta["seg_id"],
-        "doc_count": meta["doc_count"],
-        "sum_ttf": meta["sum_ttf"],
-        "term_count": meta["term_count"],
-        "postings": meta.get("postings", 0),
-        "postings_bytes": meta.get("postings_bytes", 0),
-        "build_sec": meta.get("metrics", {}).get("build_sec", 0.0),
-    }
-
-
 def compact_segments(
     index_dir: str | IndexMeta,
     out_dir: str,
@@ -245,59 +90,27 @@ def compact_segments(
     the policy picks contiguous runs; otherwise docIDs are re-based in the
     new segment order — results match by content like any merge. Requires no
     tombstones (expunge first)."""
-    import ray
-    import ray.data
+    from ..state.deletes import load_deleted
+    from .maintenance import _commit_manifest, _rewrite
 
     src = index_dir if isinstance(index_dir, IndexMeta) else IndexMeta(index_dir)
-    from ..state.deletes import load_deleted
-
     if load_deleted(src.index_dir).size:
         raise ValueError("index has tombstones; run expunge_deletes before compaction")
-    sizes = [r.get("postings_bytes", 0) for r in src.manifest["segments"]]
-    merges = plan_merges(sizes, **policy)
-    merged_members = {i for g in merges for i in g}
-    groups: list[list[int]] = [g for g in merges]
-    # untouched segments stay as singleton groups, in original order
-    plan: list[list[int]] = []
-    consumed: set[int] = set()
-    for i in range(len(sizes)):
-        if i in consumed:
-            continue
-        grp = next((g for g in groups if g[0] == i), None)
-        if grp is not None and i == grp[0]:
-            plan.append(grp)
-            consumed.update(grp)
-        elif i not in merged_members:
-            plan.append([i])
-            consumed.add(i)
-    os.makedirs(os.path.join(out_dir, "segments"), exist_ok=True)
-    rows = []
-    new_base = 0
-    for new_id, grp in enumerate(plan):
-        src_dirs = [src.segment_dirs[i] for i in grp]
-        n = sum(src.manifest["segments"][i]["doc_count"] for i in grp)
-        rows.append(
-            {"src_dirs": src_dirs, "new_id": new_id, "new_base": new_base, "out_dir": out_dir}
-        )
-        new_base += n
-    seg_rows = (
-        ray.data.from_items(rows)
-        .map_batches(_concat_segments_task, batch_size=None, batch_format="pyarrow", num_cpus=1)
-        .take_all()
-    )
-    seg_rows.sort(key=lambda r: r["seg_id"])
-    write_index_manifest(
+    rows = src.manifest["segments"]
+    merges = plan_merges([r.get("postings_bytes", 0) for r in rows], **policy)
+    # each merge sits where its first segment was; untouched segments stay singletons
+    first = {g[0]: g for g in merges}
+    merged = {i for g in merges for i in g}
+    groups = [first.get(i, [i]) for i in range(len(rows)) if i in first or i not in merged]
+    plan = []
+    for grp in groups:
+        dirs = [src.segment_dirs[i] for i in grp]
+        n_docs = sum(rows[i]["doc_count"] for i in grp)
+        plan.append({"sources": dirs, "n_docs": n_docs, "lineage": {"compacted_from": dirs}})
+    return _commit_manifest(
         out_dir,
-        {
-            "version": 1,
-            "index_options": src.manifest.get("index_options", "freqs"),
-            "analyzer": src.manifest.get("analyzer"),
-            "content_column": src.manifest.get("content_column"),
-            "segments": seg_rows,
-            "max_doc": int(sum(r["doc_count"] for r in seg_rows)),
-            "sum_ttf": int(sum(r["sum_ttf"] for r in seg_rows)),
-            "compacted_from": src.index_dir,
-            "merge_plan": [[int(i) for i in g] for g in plan],
-        },
+        src,
+        _rewrite(out_dir, plan),
+        compacted_from=src.index_dir,
+        merge_plan=[[int(i) for i in g] for g in groups],
     )
-    return IndexMeta(out_dir)

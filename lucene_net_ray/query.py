@@ -296,7 +296,7 @@ _TOKEN_RE = re.compile(
         (?P<and>AND\b) | (?P<or>OR\b) | (?P<not>NOT\b) |
         (?P<plus>\+) | (?P<minus>-) |
         (?P<range>\[[^\]]*\ TO\ [^\]]*\]) |
-        (?P<phrase>"[^"]*"(?:~\d+)?) |
+        (?P<phrase>(?:[^\s()+\-":][^\s()":]*:)?"[^"]*"(?:~\d+)?) |
         (?P<regex>[^\s()+\-/]*:?/[^/]+/) |
         (?P<atom>[^\s()+\-][^\s()]*)
     )""",
@@ -399,7 +399,10 @@ def parse_query(
                 q = _apply_boost_suffix(q)
             elif kind == "phrase":
                 _, text = advance()
-                q = _parse_phrase(text, default_field, analyzer)
+                field = default_field
+                if not text.startswith('"'):
+                    field, text = text.split(":", 1)
+                q = _parse_phrase(text, field, analyzer)
                 if q is None:
                     continue
             elif kind == "regex":

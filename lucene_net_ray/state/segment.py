@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import time
 
 import numpy as np
@@ -116,6 +117,29 @@ def _atomic_write_json(path: str, obj: dict) -> None:
     os.replace(tmp, path)
 
 
+def committed_segment_meta(final_dir: str) -> dict | None:
+    """The meta of the segment committed at ``final_dir``, or None: a task
+    that finds its output already committed skips the work (resume)."""
+    path = os.path.join(final_dir, "meta.json")
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        return json.load(f)
+
+
+def commit_segment_dir(tmp_dir: str, final_dir: str, meta: dict) -> None:
+    """Commit a fully written temp segment dir: fsync its meta.json, then
+    rename the dir into place, so a crash leaves at most a ``.tmp<pid>``
+    dir that no reader opens (two-phase-commit analog of
+    IndexWriter.Commit, reference IndexWriter.cs:3719-3777). A task that
+    lost a race with a retry of itself drops its own copy."""
+    _atomic_write_json(os.path.join(tmp_dir, "meta.json"), meta)
+    if os.path.exists(final_dir):
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+    else:
+        os.replace(tmp_dir, final_dir)
+
+
 def build_segment(
     table: pa.Table,
     *,
@@ -141,9 +165,9 @@ def build_segment(
     analyzer = analyzer or Analyzer()
     seg_name = f"seg{seg_id:06d}"
     final_dir = os.path.join(out_dir, seg_name)
-    if os.path.exists(os.path.join(final_dir, "meta.json")):
-        with open(os.path.join(final_dir, "meta.json")) as f:
-            return json.load(f)  # resume: already committed
+    committed = committed_segment_meta(final_dir)
+    if committed is not None:
+        return committed
     tmp_dir = final_dir + f".tmp{os.getpid()}"
     os.makedirs(tmp_dir, exist_ok=True)
 
@@ -448,13 +472,7 @@ def build_segment(
         },
         "analyzer": analyzer.config(),
     }
-    _atomic_write_json(os.path.join(tmp_dir, "meta.json"), meta)
-    if os.path.exists(final_dir):  # lost a race with a retry of the same task
-        import shutil
-
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-    else:
-        os.replace(tmp_dir, final_dir)
+    commit_segment_dir(tmp_dir, final_dir, meta)
     return meta
 
 
@@ -474,9 +492,10 @@ def write_terms_and_postings(
     non-decreasing; docs_sorted/tfs_sorted are the posting's local docID/freq;
     pos_deltas (optional) is the per-occurrence position-delta stream aligned
     with the postings (first delta of each posting is the absolute position).
-    Shared by the segment builder and by expunge-deletes (which re-encodes a
-    segment minus its tombstoned docs). Returns {"term_count", "postings",
-    "postings_bytes"}.
+    Shared by the segment builder and by the segment rewrite behind
+    compaction, expunge-deletes and the splitters (which re-encodes the live
+    postings of one or more source segments). Returns {"term_count",
+    "postings", "postings_bytes"}.
     """
     n_post = codes.size
     if n_post:

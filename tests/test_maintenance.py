@@ -1,7 +1,12 @@
 """addIndexes + NRT reopen + queries-as-dataset batch evaluation."""
 
+import hashlib
+import os
+import shutil
+
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from lucene_net_ray.oracle import OracleIndex
 from lucene_net_ray.pipelines.build import build_index_from_table
@@ -410,3 +415,98 @@ def test_split_index_round_robin(tmp_path):
         assert origs == list(range(p, 45, 3))
         seen.extend(origs)
     assert sorted(seen) == list(range(45))
+
+
+def _data_sha(index) -> dict:
+    """sha256 of every segment's data files (not meta.json, whose lineage
+    names the source dirs)."""
+    out = {}
+    for d in index.segment_dirs:
+        for f in ("terms.parquet", "postings.bin", "docs.parquet"):
+            with open(os.path.join(d, f), "rb") as fh:
+                out[f"{os.path.basename(d)}/{f}"] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("op", ["compact", "expunge"])
+def test_rewrite_resumes_after_crash(tmp_path, op):
+    """A crash between temp-write and rename leaves some output segments
+    committed and a ``.tmp<pid>`` dir of another process; re-running skips
+    the committed segments, ignores the debris, and commits an index
+    byte-identical to a clean run. Re-running over a finished output
+    changes nothing."""
+    from lucene_net_ray.pipelines.maintenance import expunge_deletes
+    from lucene_net_ray.pipelines.tiered import compact_segments
+    from lucene_net_ray.query import TermQuery
+    from lucene_net_ray.state.deletes import delete_by_query
+
+    idx = str(tmp_path / "idx")
+    build_index_from_table(generate_corpus(120, seed=7), idx, target_rows_per_segment=20,
+                           index_options="positions")  # 6 segments
+    if op == "expunge":
+        assert delete_by_query(idx, TermQuery(term="zyzzyva"))
+
+        def run(out):
+            return expunge_deletes(idx, out)
+    else:
+        def run(out):
+            return compact_segments(idx, out, segs_per_tier=2.0, max_merge_at_once=4)
+
+    def digest(index):
+        with open(os.path.join(index.index_dir, "manifest.json"), "rb") as f:
+            return {"manifest.json": hashlib.sha256(f.read()).hexdigest(), **_data_sha(index)}
+
+    clean = run(str(tmp_path / "clean"))
+    assert len(clean.segment_dirs) >= 2
+    segs = tmp_path / "crashed" / "segments"
+    segs.mkdir(parents=True)
+    shutil.copytree(clean.segment_dirs[0], segs / "seg000000")
+    debris = segs / "seg000001.tmp99999999"
+    debris.mkdir()
+    shutil.copy(os.path.join(clean.segment_dirs[1], "terms.parquet"), debris)
+    (debris / "postings.bin").write_bytes(b"\x80 torn write")
+    resumed = run(str(tmp_path / "crashed"))
+    check_index(resumed)
+    assert digest(resumed) == digest(clean)
+    assert digest(run(str(tmp_path / "crashed"))) == digest(clean)
+
+
+def test_split_matches_expunge_of_tombstoned_clone(tmp_path):
+    """The splitters drop the docs a part does not keep in the segment
+    rewrite itself. Each part must equal the older route to it: a copy of
+    the index carrying the complement as tombstones, then expunge_deletes."""
+    from lucene_net_ray.pipelines.maintenance import (
+        expunge_deletes,
+        split_index_by_filter,
+        split_index_round_robin,
+    )
+    from lucene_net_ray.query import TermQuery
+    from lucene_net_ray.state.deletes import delete_by_query, load_deleted, write_deletes
+    from lucene_net_ray.state.index import IndexMeta, write_index_manifest
+
+    corpus = generate_corpus(150, seed=9)
+    idx = str(tmp_path / "idx")
+    src = build_index_from_table(corpus.append_column("orig", pa.array(range(150))), idx,
+                                 target_rows_per_segment=25, index_options="positions",
+                                 stored_columns=("orig",))
+    assert delete_by_query(idx, TermQuery(term="zyzzyva"))  # already-dead docs stay dead
+    all_ids = np.arange(src.max_doc, dtype=np.int64)
+    alive = np.setdiff1d(all_ids, load_deleted(idx))
+    matching = [d for d, _ in Searcher(idx, use_actors=False).scored_docs(TermQuery(term="public"))]
+    match_alive = np.intersect1d(alive, matching)
+
+    parts = [*split_index_by_filter(idx, str(tmp_path / "a"), str(tmp_path / "b"),
+                                    TermQuery(term="public")),
+             *split_index_round_robin(idx, [str(tmp_path / f"r{p}") for p in range(3)])]
+    keeps = [match_alive, np.setdiff1d(alive, match_alive), *(alive[p::3] for p in range(3))]
+    for i, (part, keep) in enumerate(zip(parts, keeps)):
+        clone = str(tmp_path / f"clone{i}")
+        for d in src.segment_dirs:
+            shutil.copytree(d, os.path.join(clone, "segments", os.path.basename(d)))
+        write_index_manifest(clone, dict(src.manifest))
+        write_deletes(clone, np.setdiff1d(all_ids, keep))
+        ref = expunge_deletes(clone, str(tmp_path / f"ref{i}"))
+        assert part.max_doc == keep.size
+        assert part.manifest["segments"] == ref.manifest["segments"]
+        assert _data_sha(part) == _data_sha(ref)
+        check_index(part)

@@ -116,9 +116,21 @@ def test_field_phrase(mf):
     assert [d for d, _ in hits] == [d for d, _ in expected] == [2]
 
 
-def test_unknown_field_matches_nothing(mf):
+def test_field_qualified_phrase_parses(mf):
+    """``body:"query parser"`` is one phrase on body (classic syntax), not
+    body:query OR a default-field parser."""
     searcher, *_ = mf
-    assert searcher.search(TermQuery(field="nosuch", term="alpha"), k=5) == []
+    q = parse_query('body:"query parser"~1')
+    assert q == PhraseQuery(field="body", terms=("query", "parser"), slop=1, positions=(0, 1))
+    assert [d for d, _ in searcher.search(q, k=10)] == [2]
+
+
+def test_unknown_field_raises(mf):
+    """A typo in a query's field name is an error, not an empty answer."""
+    searcher, *_ = mf
+    for q in (TermQuery(field="nosuch", term="alpha"), parse_query("title:alpha nosuch:alpha")):
+        with pytest.raises(ValueError, match="nosuch"):
+            searcher.search(q, k=5)
 
 
 def test_per_field_analyzers(tmp_path):

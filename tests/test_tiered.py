@@ -50,9 +50,48 @@ def test_compact_segments_equivalence(tmp_path):
         assert [d for d, _ in hits] == [d for d, _ in expected], qs
         for (d1, s1), (d2, s2) in zip(hits, expected):
             assert np.float32(s1) == np.float32(s2)
-    # compaction is idempotent/resumable: re-running skips committed segments
-    again = compact_segments(idx, out, segs_per_tier=2.0, max_merge_at_once=4)
-    assert again.manifest["segments"] == compacted.manifest["segments"]
+
+
+def _assert_matches_oracle(index, contents, queries):
+    oracle = OracleIndex(contents)
+    s = Searcher(index, use_actors=False)
+    for qs in queries:
+        q = parse_query(qs)
+        hits = s.search(q, k=10)
+        expected = oracle.top_k(q, 10)
+        assert [d for d, _ in hits] == [d for d, _ in expected], qs
+        for (_, s1), (_, s2) in zip(hits, expected):
+            assert np.float32(s1) == np.float32(s2), qs
+
+
+def test_compact_mixed_index_options(tmp_path):
+    """A merged segment keeps positions only if every source has them: a
+    positions segment merged with a freqs one gives a freqs segment that
+    checks clean, not one whose meta claims positions it does not hold."""
+    from lucene_net_ray.pipelines.maintenance import add_indexes, split_index
+    from lucene_net_ray.state.segment import SegmentReader
+
+    a_corpus, b_corpus = generate_corpus(60, seed=1), generate_corpus(60, seed=2)
+    a_docs = a_corpus.column("content").to_pylist()
+    a = build_index_from_table(a_corpus, str(tmp_path / "a"), target_rows_per_segment=30,
+                               index_options="positions")
+    b = build_index_from_table(b_corpus, str(tmp_path / "b"), target_rows_per_segment=30)
+    mixed = add_indexes(str(tmp_path / "mixed"), a, b)  # 2 positions + 2 freqs segments
+
+    one = compact_segments(mixed, str(tmp_path / "one"), segs_per_tier=2.0, max_merge_at_once=4)
+    assert one.manifest["merge_plan"] == [[0, 1, 2, 3]]
+    assert SegmentReader(one.segment_dirs[0]).meta["index_options"] == "freqs"
+    check_index(one)
+    _assert_matches_oracle(one, a_docs + b_corpus.column("content").to_pylist(),
+                           ["public", "+public +query", "query token score"])
+
+    # merging only the positions segments keeps their positions
+    part = compact_segments(mixed, str(tmp_path / "part"), segs_per_tier=2.0, max_merge_at_once=2)
+    assert part.manifest["merge_plan"] == [[0, 1], [2], [3]]
+    assert SegmentReader(part.segment_dirs[0]).meta["index_options"] == "positions"
+    check_index(part)
+    positional = split_index(part, [str(tmp_path / f"p{i}") for i in range(3)])[0]
+    _assert_matches_oracle(positional, a_docs, ['"public static"', '+public "query token"'])
 
 
 from hypothesis import given, settings
