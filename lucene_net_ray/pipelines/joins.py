@@ -13,7 +13,7 @@ construction — a query's match set), broadcast once via ``ray.put``, and the
 to side streams through a set-membership ``map_batches`` filter. No
 all-to-all shuffle: the only exchange is the distinct-key aggregate. When
 the from side is NOT small (semi-joining two full tables), that is exactly
-``Dataset.join`` / the coarse-groupby pattern in stages/clean.py instead.
+``Dataset.join`` / the keyed exchange of stages/exchange.py instead.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..stages.exchange import keyed_exchange
+
 
 def gather_keys(from_ds: ray.data.Dataset, from_field: str) -> np.ndarray:
     """Distinct from-side keys via a groupby aggregate (TermsCollector
@@ -33,29 +35,6 @@ def gather_keys(from_ds: ray.data.Dataset, from_field: str) -> np.ndarray:
     return np.asarray(sorted(v for v in vals if v is not None))
 
 
-def _coarse_of(col, mask: int) -> np.ndarray:
-    """Deterministic key -> coarse group, vectorized for int and utf8 keys
-    (anything else casts to utf8 first)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if pa.types.is_integer(col.type):
-        v = col.cast(pa.int64()).to_numpy(zero_copy_only=False).view(np.uint64)
-        with np.errstate(over="ignore"):
-            h = v * np.uint64(0x9E3779B97F4A7C15)
-        return ((h >> np.uint64(40)).astype(np.int64)) & mask
-    if not pa.types.is_string(col.type):
-        col = col.cast(pa.string())
-    from ..stages.textstats import md5_hex_utf8
-
-    hexes = md5_hex_utf8(col)
-    if not hexes:
-        return np.empty(0, dtype=np.int64)
-    nib = np.frombuffer("".join(hexes).encode(), dtype=np.uint8)
-    nib = nib.reshape(-1, 32)[:, :8].astype(np.int64)
-    nib = np.where(nib >= 97, nib - 87, nib - 48)
-    return (nib << (4 * np.arange(7, -1, -1))).sum(axis=1) & mask
-
-
 def _semi_join_shuffle(
     to_ds: ray.data.Dataset,
     to_field: str,
@@ -63,19 +42,16 @@ def _semi_join_shuffle(
     from_field: str,
     *,
     negate: bool,
-    coarse_groups: int,
 ) -> ray.data.Dataset:
-    """Large-from-side fallback: hash-partition BOTH sides on the key's
-    coarse hash and test membership inside each group — the stages/clean.py
-    bounded-shuffle pattern. The distinct key set never touches the driver."""
-    mask = coarse_groups - 1
+    """Large-from-side fallback: ONE keyed exchange of BOTH sides on the key,
+    membership tested inside each bucket. The distinct key set never
+    touches the driver."""
     to_schema = to_ds.schema()  # Ray Schema wrapper: .names + pyarrow .types
     names = list(to_schema.names)
     types = list(to_schema.types)
 
     def tag_to(batch: pa.Table) -> pa.Table:
-        coarse = _coarse_of(batch.column(to_field), mask)
-        return batch.append_column("__coarse", pa.array(coarse)).append_column(
+        return batch.append_column(
             "__from", pa.array(np.zeros(batch.num_rows, dtype=bool))
         )
 
@@ -83,7 +59,6 @@ def _semi_join_shuffle(
         col = batch.column(from_field)
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        coarse = _coarse_of(col, mask)
         arrays = []
         for name, typ in zip(names, types):
             if name == to_field:
@@ -91,13 +66,9 @@ def _semi_join_shuffle(
             else:
                 arrays.append(pa.nulls(batch.num_rows, typ))
         t = pa.table(dict(zip(names, arrays)))
-        return t.append_column("__coarse", pa.array(coarse)).append_column(
+        return t.append_column(
             "__from", pa.array(np.ones(batch.num_rows, dtype=bool))
         )
-
-    unioned = to_ds.map_batches(tag_to, batch_format="pyarrow").union(
-        distinct_keys.map_batches(tag_from, batch_format="pyarrow")
-    )
 
     def in_group(group: pa.Table) -> pa.Table:
         from_mask = group.column("__from")
@@ -106,9 +77,16 @@ def _semi_join_shuffle(
         m = pc.is_in(to_rows.column(to_field), value_set=keys)
         if negate:
             m = pc.invert(pc.fill_null(m, False))
-        return to_rows.filter(m).drop_columns(["__coarse", "__from"])
+        return to_rows.filter(m).drop_columns(["__from"])
 
-    return unioned.groupby("__coarse").map_groups(in_group, batch_format="pyarrow")
+    return keyed_exchange(
+        [
+            to_ds.map_batches(tag_to, batch_format="pyarrow"),
+            distinct_keys.map_batches(tag_from, batch_format="pyarrow"),
+        ],
+        to_field,
+        in_group,
+    )
 
 
 def semi_join(
@@ -119,7 +97,6 @@ def semi_join(
     *,
     negate: bool = False,
     broadcast_key_budget: int = 2_000_000,
-    coarse_groups: int = 256,
 ) -> ray.data.Dataset:
     """to-side rows whose ``to_field`` is (not, if negate) in the from side's
     distinct ``from_field`` set. JoinUtil semi-join / anti-join semantics.
@@ -128,7 +105,7 @@ def semi_join(
     it broadcasts once via ``ray.put`` and the to side streams through a
     membership filter. A from side with more than ``broadcast_key_budget``
     distinct keys would OOM the driver on the old unconditional ``take_all``
-    — such inputs now route to the coarse-hash shuffle join instead (round-4
+    — such inputs now route to the keyed-exchange join instead (round-4
     guard; the distinct COUNT is checked first, a row-count aggregate that
     brings no values back)."""
     distinct = (
@@ -142,7 +119,6 @@ def semi_join(
             distinct.select_columns([from_field]),
             from_field,
             negate=negate,
-            coarse_groups=coarse_groups,
         )
     vals = [r[from_field] for r in distinct.take_all()]
     keys = np.asarray(sorted(v for v in vals if v is not None))
@@ -192,7 +168,6 @@ def asof_join(
     right_keep: dict | None = None,
     tie: str | None = None,
     how: str = "inner",
-    coarse_groups: int = 256,
 ) -> ray.data.Dataset:
     """As-of join: each left row matches the LATEST right row with the same
     ``on`` key and ``right.ts <= left.ts`` (backward direction — the
@@ -200,8 +175,8 @@ def asof_join(
     -operator case (a)). Ties on the right timestamp break by ``tie``
     descending (pass the right side's id column for determinism).
 
-    Plan: both sides coarse-hash partition on the key (ONE bounded shuffle,
-    the stages/clean.py discipline); inside each group a single lexsort over
+    Plan: both sides meet in ONE keyed exchange on the key
+    (stages/exchange.py); inside each bucket a single lexsort over
     the interleaved rows + a segmented cumulative-max computes every match
     vectorized — no per-key loop, no per-row search. ``right_keep`` maps
     right columns to output names (default {ts: ts+'_right'});
@@ -210,7 +185,6 @@ def asof_join(
     if how not in ("inner", "left"):
         raise ValueError(how)
     right_keep = dict(right_keep or {ts: f"{ts}_right"})
-    mask = coarse_groups - 1
     l_schema = left_ds.schema()
     l_names = list(l_schema.names)
     l_types = list(l_schema.types)
@@ -222,16 +196,14 @@ def asof_join(
     r_types = {n: t for n, t in zip(r_schema.names, r_schema.types)}
 
     def norm_left(batch: pa.Table) -> pa.Table:
-        coarse = _coarse_of(batch.column(on), mask)
         t = batch
         for c in r_cols:
             t = t.append_column(f"__r_{c}", pa.nulls(batch.num_rows, r_types[c]))
-        return t.append_column("__coarse", pa.array(coarse)).append_column(
+        return t.append_column(
             "__right", pa.array(np.zeros(batch.num_rows, dtype=bool))
         )
 
     def norm_right(batch: pa.Table) -> pa.Table:
-        coarse = _coarse_of(batch.column(on), mask)
         cols = {}
         for name, typ in zip(l_names, l_types):
             if name == on:
@@ -243,18 +215,19 @@ def asof_join(
         for c in r_cols:
             cols[f"__r_{c}"] = batch.column(c)
         t = pa.table(cols)
-        return t.append_column("__coarse", pa.array(coarse)).append_column(
+        return t.append_column(
             "__right", pa.array(np.ones(batch.num_rows, dtype=bool))
         )
 
-    unioned = left_ds.map_batches(norm_left, batch_format="pyarrow").union(
-        right_ds.select_columns(r_cols).map_batches(norm_right, batch_format="pyarrow")
-    )
+    sides = [
+        left_ds.map_batches(norm_left, batch_format="pyarrow"),
+        right_ds.select_columns(r_cols).map_batches(norm_right, batch_format="pyarrow"),
+    ]
 
     def in_group(group: pa.Table) -> pa.Table:
         n = group.num_rows
         if n == 0:
-            return group.drop_columns(["__coarse", "__right"])
+            return group.drop_columns(["__right"])
         key = group.column(on).to_numpy(zero_copy_only=False)
         tsv = group.column(ts).to_numpy(zero_copy_only=False)
         is_r = group.column("__right").to_numpy(zero_copy_only=False)
@@ -294,10 +267,7 @@ def asof_join(
             out = out.append_column(out_name, col)
         return out
 
-    return (
-        unioned.groupby("__coarse")
-        .map_groups(in_group, batch_format="pyarrow")
-    )
+    return keyed_exchange(sides, on, in_group)
 
 
 def range_join(
@@ -308,14 +278,13 @@ def range_join(
     ts: str,
     window,
     right_keep: dict | None = None,
-    coarse_groups: int = 256,
 ) -> ray.data.Dataset:
     """Range (interval) join: ALL pairs with the same ``on`` key and
     ``left.ts - window <= right.ts <= left.ts`` — the bounded-window sibling
     of asof_join (the charter's other custom-operator example; sessions,
     attribution windows, feature lookback).
 
-    Plan: same single coarse-hash shuffle as asof_join; inside each group
+    Plan: same single keyed exchange as asof_join; inside each bucket
     the window bounds come from PROBE ROWS — every left contributes a lower
     probe at ts-window and an upper probe at ts, one lexsort orders
     (key, ts, lower<right<upper), and an exclusive cumsum of right rows
@@ -324,7 +293,6 @@ def range_join(
     expansion. No composite-key overflow, no per-key Python loop.
     """
     right_keep = dict(right_keep or {ts: f"{ts}_right"})
-    mask = coarse_groups - 1
     l_schema = left_ds.schema()
     l_names = list(l_schema.names)
     l_types = list(l_schema.types)
@@ -333,20 +301,18 @@ def range_join(
     r_cols = list(dict.fromkeys([on, ts, *right_keep]))
 
     # the asof_join union discipline: null-pad the right side to the left
-    # schema plus __r_* carrier columns, ONE coarse-hash groupby co-locates
+    # schema plus __r_* carrier columns, ONE keyed exchange co-locates
     # both sides, the kernel splits them in-group — nothing crosses the
     # driver
     def norm_left(batch: pa.Table) -> pa.Table:
-        coarse = _coarse_of(batch.column(on), mask)
         t = batch
         for c in r_cols:
             t = t.append_column(f"__r_{c}", pa.nulls(batch.num_rows, r_types[c]))
-        return t.append_column("__coarse", pa.array(coarse)).append_column(
+        return t.append_column(
             "__right", pa.array(np.zeros(batch.num_rows, dtype=bool))
         )
 
     def norm_right(batch: pa.Table) -> pa.Table:
-        coarse = _coarse_of(batch.column(on), mask)
         cols = {}
         for name, typ in zip(l_names, l_types):
             cols[name] = (
@@ -355,13 +321,14 @@ def range_join(
         for c in r_cols:
             cols[f"__r_{c}"] = batch.column(c)
         t = pa.table(cols)
-        return t.append_column("__coarse", pa.array(coarse)).append_column(
+        return t.append_column(
             "__right", pa.array(np.ones(batch.num_rows, dtype=bool))
         )
 
-    unioned = left_ds.map_batches(norm_left, batch_format="pyarrow").union(
-        right_ds.select_columns(r_cols).map_batches(norm_right, batch_format="pyarrow")
-    )
+    sides = [
+        left_ds.map_batches(norm_left, batch_format="pyarrow"),
+        right_ds.select_columns(r_cols).map_batches(norm_right, batch_format="pyarrow"),
+    ]
 
     def join_group(group: pa.Table) -> pa.Table:
         is_r = group.column("__right")
@@ -375,10 +342,7 @@ def range_join(
             l_names=l_names, right_keep=right_keep,
         )
 
-    return (
-        unioned.groupby("__coarse")
-        .map_groups(join_group, batch_format="pyarrow")
-    )
+    return keyed_exchange(sides, on, join_group)
 
 
 def _empty_pairs(group: pa.Table, l_names, right_keep, right: pa.Table | None):
@@ -441,7 +405,6 @@ def block_group_top_k(
     child_score: "callable",
     k_groups: int = 10,
     k_per_group: int = 2,
-    coarse_groups: int = 256,
 ) -> "pd.DataFrame":
     """BlockGroupingCollector analog (reference
     Grouping/BlockGroupingCollector.cs: groups are CONTIGUOUS doc blocks —
@@ -451,8 +414,8 @@ def block_group_top_k(
 
     ``child_score(batch) -> float64 ndarray`` scores children (NaN = no
     match). Scale plan mirrors block_join_parent_scores: per-batch
-    vectorized per-block top-k partials (one lexsort), coarse-hash groupby
-    merge (exchange rows ~ k_per_group per (batch, block)), then ONE
+    vectorized per-block top-k partials (one lexsort), a keyed exchange on
+    block to merge them (exchange rows ~ k_per_group per (batch, block)), then ONE
     k_groups-sized sort+limit — the driver sees only the final page.
     Returns a pandas frame (block, rank, child, score) in group order.
     """
@@ -486,11 +449,6 @@ def block_group_top_k(
             "score": pa.array(s2[keep]),
         })
 
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "coarse", pa.array(_coarse_of(batch.column("block"), coarse_groups - 1))
-        )
-
     def merge(group: pa.Table) -> pa.Table:
         b = group.column("block").to_numpy(zero_copy_only=False)
         i = group.column("child").to_numpy(zero_copy_only=False)
@@ -512,12 +470,7 @@ def block_group_top_k(
             "best": pa.array(best),
         })
 
-    merged = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .map_batches(add_coarse, batch_format="pyarrow")
-        .groupby("coarse")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    merged = keyed_exchange(ds.map_batches(partials, batch_format="pyarrow"), "block", merge)
     # top blocks by (best child score desc, block asc): page-sized result
     page = merged.sort(["best", "block", "rank"], descending=[True, False, False]).limit(
         k_groups * k_per_group * 2
@@ -542,7 +495,6 @@ def block_join_parent_scores(
     parent_key: str,
     child_score: "callable",
     score_mode: str = "avg",
-    coarse_groups: int = 256,
 ) -> ray.data.Dataset:
     """ToParentBlockJoinQuery ScoreMode analog (reference
     Join/ToParentBlockJoinQuery.cs:74 with ScoreMode None/Avg/Max/Total —
@@ -554,7 +506,7 @@ def block_join_parent_scores(
     Scale plan: per-batch vectorized partials (sum/count/max per parent via
     one argsort + run-length reduce — a combiner before the shuffle, so the
     exchange carries one row per (block, parent), not per child), then the
-    repo's bounded coarse-hash groupby with an in-group vectorized merge —
+    keyed exchange on parent with an in-bucket vectorized merge —
     never one Ray aggregate per parent key."""
     if score_mode not in ("none", "avg", "max", "total"):
         raise ValueError(score_mode)
@@ -588,14 +540,6 @@ def block_join_parent_scores(
             "n": pa.array((ends - starts).astype(np.int64)),
         })
 
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        p = batch.column("parent").to_numpy(zero_copy_only=False).view(np.uint64)
-        with np.errstate(over="ignore"):
-            h = p * np.uint64(0x9E3779B97F4A7C15)
-        return batch.append_column(
-            "coarse", pa.array((h & np.uint64(coarse_groups - 1)).astype(np.int64))
-        )
-
     def merge(group: pa.Table) -> pa.Table:
         p = group.column("parent").to_numpy(zero_copy_only=False)
         ssum = group.column("s_sum").to_numpy(zero_copy_only=False)
@@ -622,9 +566,4 @@ def block_join_parent_scores(
             "n_matches": pa.array(cnt),
         })
 
-    return (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .map_batches(add_coarse, batch_format="pyarrow")
-        .groupby("coarse")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds.map_batches(partials, batch_format="pyarrow"), "parent", merge)

@@ -253,7 +253,8 @@ def add_indexes(out_dir: str, *source_indexes: str | IndexMeta) -> IndexMeta:
 
     Segments are renumbered sequentially; docIDs are re-based by prefix sums
     over the source order (deterministic: sources in the order given, each
-    source's segments in seg_id order). Analyzer configs must match.
+    source's segments in seg_id order). A source's tombstoned docs are not
+    imported. Analyzer configs must match.
     """
     sources = [s if isinstance(s, IndexMeta) else IndexMeta(s) for s in source_indexes]
     if not sources:
@@ -263,9 +264,9 @@ def add_indexes(out_dir: str, *source_indexes: str | IndexMeta) -> IndexMeta:
         raise ValueError("cannot add indexes with different analyzer configs")
     index_opts = {s.manifest.get("index_options", "freqs") for s in sources}
     plan = [
-        {"sources": [d], "n_docs": row["doc_count"], "lineage": {"imported_from": d}}
+        {**seg, "lineage": {"imported_from": seg["sources"][0]}}
         for src in sources
-        for d, row in zip(src.segment_dirs, src.manifest["segments"])
+        for seg in _keep_plan(src, _alive(src))
     ]
     return _commit_manifest(
         out_dir,
@@ -279,26 +280,32 @@ def add_indexes(out_dir: str, *source_indexes: str | IndexMeta) -> IndexMeta:
 def split_index(index_dir: str | IndexMeta, out_dirs: list[str]) -> list[IndexMeta]:
     """IndexSplitter analog (reference Misc/Index/IndexSplitter.cs): partition
     an index's segments contiguously into len(out_dirs) standalone indexes,
-    re-basing docIDs per part (each part's docIDs restart at 0)."""
+    re-basing docIDs per part (each part's docIDs restart at 0). Tombstoned
+    docs are dropped, and so is a segment with no live doc."""
     src = index_dir if isinstance(index_dir, IndexMeta) else IndexMeta(index_dir)
     n_parts = len(out_dirs)
     seg_dirs = src.segment_dirs
     if n_parts < 1 or n_parts > len(seg_dirs):
         raise ValueError(f"cannot split {len(seg_dirs)} segments into {n_parts} parts")
+    row_of = dict(zip(seg_dirs, src.manifest["segments"]))
+    live = _keep_plan(src, _alive(src))
     # contiguous slices, sizes as even as possible
     base, extra = divmod(len(seg_dirs), n_parts)
     out = []
     i = 0
     for p, out_dir in enumerate(out_dirs):
         take = base + (1 if p < extra else 0)
-        part_rows = src.manifest["segments"][i : i + take]
+        part = set(seg_dirs[i : i + take])
         plan = [
-            {"sources": [d], "n_docs": row["doc_count"], "lineage": {"split_from": d}}
-            for d, row in zip(seg_dirs[i : i + take], part_rows)
+            {**seg, "lineage": {"split_from": seg["sources"][0]}}
+            for seg in live
+            if seg["sources"][0] in part
         ]
         i += take
-        # a verbatim copy keeps its source row's extra keys (content_bytes, sort range)
-        seg_rows = [{**row, **new} for row, new in zip(part_rows, _rewrite(out_dir, plan))]
+        # keep the source row's extra keys (content_bytes, sort range)
+        seg_rows = [
+            {**row_of[seg["sources"][0]], **new} for seg, new in zip(plan, _rewrite(out_dir, plan))
+        ]
         out.append(_commit_manifest(out_dir, src, seg_rows, split_from=src.index_dir))
     return out
 

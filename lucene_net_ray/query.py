@@ -405,6 +405,7 @@ def parse_query(
                 q = _parse_phrase(text, field, analyzer)
                 if q is None:
                     continue
+                q = _apply_boost_suffix(q)
             elif kind == "regex":
                 _, text = advance()
                 field = default_field

@@ -6,14 +6,11 @@ store with backpressure; nothing materializes the corpus ANYWHERE (round-2
 fix: the dedup keep-set used to be take_all()'d to the driver and re-broadcast
 — O(distinct docs) driver memory; winner selection is now fully distributed).
 
-Dedup plan: rows are keyed by a coarse stable hash of their text fingerprint
-(crc32 & mask — NOT Python hash(), whose per-process salt breaks cross-worker
-grouping) and shuffled once by ``groupby(coarse)``; because coarse is a
-function of the text hash, every duplicate set lands in one group, where a
-vectorized sort-by-(hash, id) + first-of-run filter keeps the min-id winner
-WITH all its columns. No join, no driver-side keep-set. ``coarse_groups``
-bounds both the per-group task memory (corpus/2^k) and the per-group UDF-call
-count — size it so a group fits a worker (2^10 here; ~2^20 at 100 TB).
+Dedup plan: rows carry the md5 of their text and go through ONE keyed
+exchange on it (stages/exchange.py, which owns the key -> bucket hash), so
+every duplicate set lands in one bucket, where a vectorized
+sort-by-(hash, id) + first-of-run filter keeps the min-id winner WITH all
+its columns. No join, no driver-side keep-set.
 
 Output is one file per input block (``write_parquet`` default), so a failed
 run re-writes only missing partitions when re-executed with the same input.
@@ -21,13 +18,14 @@ run re-writes only missing partitions when re-executed with the same input.
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
+
+from .exchange import keyed_exchange
 
 
 def clean_corpus(
@@ -38,24 +36,26 @@ def clean_corpus(
     id_column: str = "doc_id",
     min_quality: float = 0.0,
     dedup: bool = True,
-    coarse_groups: int = 1024,
-    shuffle_blocks: int | None = None,
 ) -> dict:
     """Returns {"rows_in", "rows_kept", "out_dir"}.
 
-    ``shuffle_blocks`` coalesces the keyed stream before the dedup groupby.
-    Ray's sort shuffle is O(in_blocks x out_blocks) in object/metadata count
+    With dedup, the input is coalesced before the dedup exchange. Ray's sort
+    shuffle is O(in_blocks x out_blocks) in object/metadata count
     (out_blocks follows in_blocks), so a many-small-files corpus pays a
     quadratic shuffle-bookkeeping tax: at 8M docs / 400 input files the dedup
     groupby was 91% of training-shard wall time; coalescing to 2xCPUs blocks
     measured 1.8x faster at 2M docs (interleaved A/B) with identical winners.
-    Default (None) targets ``2 x cluster CPUs`` — enough parallelism to keep
+    It targets ``2 x cluster CPUs`` blocks — enough parallelism to keep
     every core busy in the reduce while keeping the shuffle matrix quadratic
     only in core count, not file count. Winners are invariant to
     partitioning (min (hash, id) per group), so this is a pure plan change.
+    It coalesces right after the read, so scoring, keying and the
+    exchange's bucketing fuse into one map stage after it.
     """
     ds = ray.data.read_parquet(input_path)
     rows_in = ds.count()
+    if dedup:
+        ds = ds.repartition(max(16, 2 * int(ray.cluster_resources().get("CPU", 8))))
 
     scored = ds.map_batches(
         lambda b: _with_quality(b, text_column), batch_format="pyarrow"
@@ -67,42 +67,23 @@ def clean_corpus(
         )
 
     if dedup:
-        mask = coarse_groups - 1
 
         def add_keys(batch: pa.Table) -> pa.Table:
             # md5 straight from the Arrow utf8 data buffer (textstats.
-            # md5_hex_utf8 — no Python str materialization); the coarse group
-            # key is a vectorized hex-nibble fold of the digest (any
-            # deterministic text->group function works: grouping only
-            # bounds dedup shuffle fan-in, winners are picked by __th)
+            # md5_hex_utf8 — no Python str materialization)
             from .textstats import md5_hex_utf8
 
             hex_list = md5_hex_utf8(batch.column(text_column))
-            if hex_list:
-                nib = np.frombuffer("".join(hex_list).encode(), dtype=np.uint8)
-                nib = nib.reshape(-1, 32)[:, :8].astype(np.int64)
-                nib = np.where(nib >= 97, nib - 87, nib - 48)
-                coarse = (nib << (4 * np.arange(7, -1, -1))).sum(axis=1) & mask
-            else:
-                coarse = np.empty(0, dtype=np.int64)
-            return batch.append_column(
-                "__th", pa.array(hex_list, type=pa.string())
-            ).append_column("__coarse", pa.array(coarse))
+            return batch.append_column("__th", pa.array(hex_list, type=pa.string()))
 
         def keep_first(group: pa.Table) -> pa.Table:
             t = group.sort_by([("__th", "ascending"), (id_column, "ascending")])
             th = np.asarray(t.column("__th").to_pylist(), dtype=object)
             first = np.concatenate(([True], th[1:] != th[:-1]))
-            return t.filter(pa.array(first)).drop_columns(["__th", "__coarse"])
+            return t.filter(pa.array(first)).drop_columns(["__th"])
 
         keyed = scored.map_batches(add_keys, batch_format="pyarrow")
-        if shuffle_blocks is None:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-            shuffle_blocks = max(16, 2 * cpus)
-        keyed = keyed.repartition(shuffle_blocks)
-        scored = keyed.groupby("__coarse").map_groups(
-            keep_first, batch_format="pyarrow"
-        )
+        scored = keyed_exchange(keyed, "__th", keep_first)
 
     os.makedirs(out_dir, exist_ok=True)
     scored.write_parquet(out_dir)

@@ -17,19 +17,18 @@ Scale plan (all three ops share it):
   inside map_batches BEFORE any shuffle (pyarrow binary_join_element_wise +
   value_counts), so exchange rows ~ distinct keys per batch, never token
   occurrences.
-- ONE coarse-hash groupby (md5-derived, never Python hash() — it is
-  process-salted) with an in-group pyarrow group_by sum — exact counts.
+- ONE keyed exchange on the gram (stages/exchange.py) with an in-bucket
+  pyarrow group_by sum — exact counts.
 - Global top-k = union of per-block local top-k, so the driver sees at most
-  coarse_groups * k candidate rows.
+  (exchange buckets) * k candidate rows.
 - PMI's unigram attachment uses the union-with-carrier-columns co-partition
   join (the repo's asof/range-join pattern): unigram rows and bigram rows
-  meet inside ONE coarse-hash groupby per gram position — no vocab-sized
+  meet inside ONE keyed exchange per gram position — no vocab-sized
   broadcast, no driver-side join.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re as _re
 
@@ -38,11 +37,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.analysis import ENGLISH_STOP_WORDS
+from .exchange import keyed_exchange
 from .textstats import _split_ws
 
 _SUBTOK_MEMO: dict[str, tuple] = {}
-
-_COARSE_DEFAULT = 512
 
 _SEP = "\x1f"  # joins the n tokens of one n-gram into a single count key
 
@@ -79,14 +77,6 @@ def _doc_token_stream(batch: pa.Table, text_column: str):
     return occ_tok, occ_doc
 
 
-def _md5_coarse(col: pa.Array | pa.ChunkedArray, mask: int) -> np.ndarray:
-    keys = col.to_pylist()
-    return np.array(
-        [int.from_bytes(hashlib.md5(k.encode()).digest()[:8], "big") & mask for k in keys],
-        dtype=np.int64,
-    )
-
-
 def _empty_counts(key: str = "gram") -> pa.Table:
     return pa.table({key: pa.array([], type=pa.string()), "n": pa.array([], type=pa.int64())})
 
@@ -111,24 +101,15 @@ def ngram_partials(batch: pa.Table, *, n: int = 2, text_column: str = "text") ->
     return pa.table({"gram": vc.field("values"), "n": pc.cast(vc.field("counts"), pa.int64())})
 
 
-def _count_reduce(ds, key: str = "gram", coarse_groups: int = _COARSE_DEFAULT):
-    """Coarse-hash exact count reduce of (key, n) partial rows. Output keeps
-    the invariant: each distinct key appears in exactly one output row."""
-    mask = coarse_groups - 1
-
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        h = _md5_coarse(batch.column(key), mask) if batch.num_rows else np.empty(0, dtype=np.int64)
-        return batch.append_column("__coarse", pa.array(h))
+def _count_reduce(ds, key: str = "gram"):
+    """Keyed-exchange exact count reduce of (key, n) partial rows. Output
+    keeps the invariant: each distinct key appears in exactly one output row."""
 
     def merge(group: pa.Table) -> pa.Table:
         agg = group.select([key, "n"]).group_by(key).aggregate([("n", "sum")])
         return agg.rename_columns([key, "n"])
 
-    return (
-        ds.map_batches(add_coarse, batch_format="pyarrow")
-        .groupby("__coarse")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds, key, merge)
 
 
 def _split_gram_columns(tbl: pa.Table, n: int, gram_col: str = "gram") -> dict[str, pa.Array]:
@@ -142,17 +123,15 @@ def ngram_counts_topk(
     n: int = 2,
     k: int = 100,
     text_column: str = "text",
-    coarse_groups: int = _COARSE_DEFAULT,
 ) -> pa.Table:
     """Global top-k adjacent n-grams by exact count (ties: gram ascending).
 
     Returns a driver-side pyarrow Table of at most k rows with one string
     column per gram position (t1..tn) plus the count. Global top-k ⊆ union
     of per-block local top-k (each gram's exact count lives in exactly one
-    post-reduce block), so the driver collects ≤ coarse_groups * k rows."""
+    post-reduce block), so the driver collects ≤ blocks * k rows."""
     counts = _count_reduce(
         ds.map_batches(lambda b: ngram_partials(b, n=n, text_column=text_column), batch_format="pyarrow"),
-        coarse_groups=coarse_groups,
     )
 
     def local_topk(batch: pa.Table) -> pa.Table:
@@ -182,7 +161,6 @@ def pmi_bigrams_topk(
     k: int = 50,
     min_count: int = 5,
     text_column: str = "text",
-    coarse_groups: int = _COARSE_DEFAULT,
 ) -> pa.Table:
     """Top-k bigram collocations by PMI (ties: rounded PMI desc, t1, t2 asc).
 
@@ -194,7 +172,7 @@ def pmi_bigrams_topk(
     input is already report-shaped.
 
     Unigram attachment: bigram rows and unigram-count rows are tagged and
-    unioned, then co-partitioned by ONE coarse-hash groupby on the gram
+    unioned, then co-partitioned by ONE keyed exchange on the gram
     position's token — the count transfers inside the group (no broadcast,
     no driver join). Two passes: t1 then t2.
     """
@@ -202,11 +180,9 @@ def pmi_bigrams_topk(
 
     bi = _count_reduce(
         ds.map_batches(lambda b: ngram_partials(b, n=2, text_column=text_column), batch_format="pyarrow"),
-        coarse_groups=coarse_groups,
     )
     uni = _count_reduce(
         ds.map_batches(lambda b: ngram_partials(b, n=1, text_column=text_column), batch_format="pyarrow"),
-        coarse_groups=coarse_groups,
     ).materialize()
     # totals are exact sums of the (already exact) count tables
     n_uni = int(uni.sum("n") or 0)
@@ -230,8 +206,6 @@ def pmi_bigrams_topk(
     surviving = bi.map_batches(explode, batch_format="pyarrow").filter(
         expr=f"n >= {min_count}"
     )
-
-    mask = coarse_groups - 1
 
     def attach(pos_col: str, out_col: str):
         """Return a fn pipeline attaching unigram count of pos_col as out_col."""
@@ -266,7 +240,7 @@ def pmi_bigrams_topk(
             out = {
                 c: sub.column(c)
                 for c in sub.column_names
-                if c not in ("__key", "__uc", "__side", "__coarse")
+                if c not in ("__key", "__uc", "__side")
             }
             out[out_col] = attached
             return pa.table(out)
@@ -282,21 +256,7 @@ def pmi_bigrams_topk(
         uni_tagged = uni.map_batches(
             lambda b, sc=schema_cols: tag_uni(b, list(sc)), batch_format="pyarrow"
         )
-
-        def add_coarse(batch: pa.Table) -> pa.Table:
-            h = (
-                _md5_coarse(batch.column("__key"), mask)
-                if batch.num_rows
-                else np.empty(0, dtype=np.int64)
-            )
-            return batch.append_column("__coarse", pa.array(h))
-
-        cur = (
-            bi_tagged.union(uni_tagged)
-            .map_batches(add_coarse, batch_format="pyarrow")
-            .groupby("__coarse")
-            .map_groups(resolve, batch_format="pyarrow")
-        )
+        cur = keyed_exchange([bi_tagged, uni_tagged], "__key", resolve)
 
     def score_topk(batch: pa.Table) -> pa.Table:
         cxy = batch.column("n").to_numpy(zero_copy_only=False).astype(np.float64)
@@ -374,14 +334,13 @@ def tfidf_top_terms(
     k: int = 3,
     id_column: str = "doc_id",
     text_column: str = "text",
-    coarse_groups: int = _COARSE_DEFAULT,
 ):
     """Per-document top-k terms by tf·idf, idf = ln(N_docs / df) in the exact
     f64 op order `tf * ln(N * 1.0 / df)` mirrored by the SQL oracle, rounded
     half-away to 6 decimals; ties by token ascending. Output columns:
     (doc_id, rank, tok, tfidf).
 
-    Two bounded shuffles: coarse-hash groupby on tok (df computed in-group
+    Two bounded shuffles: a keyed exchange on tok (df computed in-bucket
     from the exact (doc, tok, tf) rows and attached — no vocab broadcast),
     then groupby(doc) for the per-doc top-k. Reference analog: MoreLikeThis
     interesting-terms ranking (Queries/Mlt/MoreLikeThis.cs:664)."""
@@ -392,12 +351,6 @@ def tfidf_top_terms(
         lambda b: doc_term_partials(b, id_column=id_column, text_column=text_column),
         batch_format="pyarrow",
     )
-    mask = coarse_groups - 1
-
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        h = _md5_coarse(batch.column("tok"), mask) if batch.num_rows else np.empty(0, dtype=np.int64)
-        return batch.append_column("__coarse", pa.array(h))
-
     def attach_df(group: pa.Table) -> pa.Table:
         # each (doc, tok) appears exactly once globally → df = row count per tok
         toks = np.asarray(group.column("tok").to_pylist(), dtype=object)
@@ -428,9 +381,5 @@ def tfidf_top_terms(
             }
         )
 
-    scored = (
-        rows.map_batches(add_coarse, batch_format="pyarrow")
-        .groupby("__coarse")
-        .map_groups(attach_df, batch_format="pyarrow")
-    )
+    scored = keyed_exchange(rows, "tok", attach_df)
     return scored.groupby(id_column).map_groups(doc_topk, batch_format="pyarrow")

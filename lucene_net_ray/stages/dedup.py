@@ -33,6 +33,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Min
 
+from .exchange import keyed_exchange
+
 MERSENNE = (1 << 61) - 1
 
 
@@ -202,10 +204,6 @@ def minhash_lsh_pairs(
         concurrency=(1, 8),
     )
 
-    COARSE = 1024  # groupby key granularity: per-group UDF calls are the
-    # dominant cost of fine-grained map_groups (one call per LSH bucket);
-    # hash buckets into COARSE groups and split exact (band,key) runs inside
-
     def to_band_rows(batch: pa.Table) -> pa.Table:
         # fully vectorized band keying: the r band components fold through a
         # numpy FNV-1a sweep (any deterministic chunk->key function buckets
@@ -218,7 +216,6 @@ def minhash_lsh_pairs(
             "doc_id": pa.array([], type=pa.int64()),
             "band": pa.array([], type=pa.int32()),
             "key": pa.array([], type=pa.uint64()),
-            "coarse": pa.array([], type=pa.int64()),
             "sig": pa.array([], type=pa.list_(pa.uint64())),
         })
         if n == 0:
@@ -240,15 +237,11 @@ def minhash_lsh_pairs(
                 keys[:, bi] = k
             band_ids = np.tile(np.arange(bands, dtype=np.int32), n)
             key_flat = keys.reshape(-1)
-            coarse = (
-                (key_flat ^ (band_ids.astype(np.uint64) * np.uint64(0x9E3779B9))) % COARSE
-            ).astype(np.int64)
         return pa.table(
             {
                 "doc_id": pa.array(np.repeat(doc, bands)),
                 "band": pa.array(band_ids),
                 "key": pa.array(key_flat),
-                "coarse": pa.array(coarse),
                 "sig": pa.ListArray.from_arrays(
                     pa.array(np.arange(0, (n * bands + 1) * num_perm, num_perm, dtype=np.int32)),
                     pa.array(np.repeat(sigs, bands, axis=0).reshape(-1)),
@@ -299,7 +292,9 @@ def minhash_lsh_pairs(
             }
         )
 
-    pairs = band_rows.groupby("coarse").map_groups(bucket_pairs, batch_format="pyarrow")
+    # per-call cost dominates fine-grained map_groups (one call per LSH
+    # bucket), so buckets share a call and split exact (band, key) runs inside
+    pairs = keyed_exchange(band_rows, ["band", "key"], bucket_pairs)
     # a pair can surface from several bands: keep one row per pair
     return (
         pairs.groupby(["doc_a", "doc_b"])
@@ -360,8 +355,6 @@ def simhash_pairs(
 
     sh = ds.map_batches(add_simhash, batch_format="pyarrow")
 
-    COARSE = 512
-
     def to_band_rows(batch: pa.Table) -> pa.Table:
         # vectorized band extraction: 4 shifts over the uint64 view, doc-major
         # row order (np.repeat / tile) identical to the old per-row loop
@@ -373,13 +366,11 @@ def simhash_pairs(
         keys = ((h[:, None] >> (np.uint64(16) * bis[None, :])) & np.uint64(0xFFFF)).astype(np.int64)
         band_ids = np.tile(np.arange(4, dtype=np.int32), n)
         key_flat = keys.reshape(-1)
-        coarse = (key_flat ^ (band_ids * 0x9E37)) % COARSE
         return pa.table(
             {
                 "doc_id": pa.array(np.repeat(doc, 4)),
                 "band": pa.array(band_ids),
                 "key": pa.array(key_flat),
-                "coarse": pa.array(coarse.astype(np.int64)),
                 "simhash": pa.array(np.repeat(sh64, 4)),
             }
         )
@@ -422,7 +413,7 @@ def simhash_pairs(
             }
         )
 
-    pairs = band_rows.groupby("coarse").map_groups(bucket_pairs, batch_format="pyarrow")
+    pairs = keyed_exchange(band_rows, ["band", "key"], bucket_pairs)
     return (
         pairs.groupby(["doc_a", "doc_b"])
         .aggregate(Min("hamming"))
@@ -449,8 +440,6 @@ def ngram_jaccard_pairs(
     becomes a hash join at petabyte scale).
     """
 
-    COARSE = 2048
-
     def to_shingle_rows(batch: pa.Table) -> pa.Table:
         doc_ids, sh_hashes, sizes = [], [], []
         for row in batch.to_pylist():
@@ -465,15 +454,12 @@ def ngram_jaccard_pairs(
                 doc_ids.append(row["doc_id"])
                 sh_hashes.append(_stable_hash64(g) - (1 << 63))
                 sizes.append(len(grams))
-        t = pa.table(
+        return pa.table(
             {
                 "doc_id": pa.array(doc_ids, type=pa.int64()),
                 "shingle": pa.array(sh_hashes, type=pa.int64()),
                 "set_size": pa.array(sizes, type=pa.int64()),
             }
-        )
-        return t.append_column(
-            "coarse", pa.compute.bit_wise_and(t.column("shingle"), COARSE - 1)
         )
 
     shingle_rows = ds.map_batches(to_shingle_rows, batch_format="pyarrow")
@@ -520,25 +506,14 @@ def ngram_jaccard_pairs(
             }
         )
 
-    co = shingle_rows.groupby("coarse").map_groups(co_pairs, batch_format="pyarrow")
+    co = keyed_exchange(shingle_rows, "shingle", co_pairs)
 
     # per-pair reduction: Ray's groupby().aggregate() over ~1M mostly-unique
     # (doc_a, doc_b) keys spends minutes in its per-group reducer (measured
     # 55-63 s for 1.27M rows at sf0.1, two-key and packed-key alike), so the
-    # reduction uses the repo's bounded coarse-hash groupby pattern instead:
-    # hash each pair into one of PAIR_COARSE groups (all rows of a pair
-    # co-locate), then ONE vectorized lexsort + run-length reduce per group
-    # — 57 s -> ~3 s end-to-end, identical output
-    PAIR_COARSE = 1024
-
-    def add_pair_coarse(batch: pa.Table) -> pa.Table:
-        a = batch.column("doc_a").to_numpy(zero_copy_only=False).view(np.uint64)
-        b = batch.column("doc_b").to_numpy(zero_copy_only=False).view(np.uint64)
-        with np.errstate(over="ignore"):
-            h = a * np.uint64(0x9E3779B97F4A7C15) + b
-        return batch.append_column(
-            "pair_coarse", pa.array((h & np.uint64(PAIR_COARSE - 1)).astype(np.int64))
-        )
+    # reduction is a keyed exchange on the pair instead: ONE vectorized
+    # lexsort + run-length reduce per bucket — 57 s -> ~3 s end-to-end,
+    # identical output
 
     def reduce_pairs(group: pa.Table) -> pa.Table:
         empty = pa.table({
@@ -571,11 +546,7 @@ def ngram_jaccard_pairs(
             }
         )
 
-    return (
-        co.map_batches(add_pair_coarse, batch_format="pyarrow")
-        .groupby("pair_coarse")
-        .map_groups(reduce_pairs, batch_format="pyarrow")
-    )
+    return keyed_exchange(co, ["doc_a", "doc_b"], reduce_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +745,6 @@ def neardup_clusters(
     src: str = "doc_a",
     dst: str = "doc_b",
     max_iter: int = 50,
-    coarse: int = 1024,
 ) -> ray.data.Dataset:
     """Connected components over a near-dup pair stream: every doc that
     appears in ``pairs`` gets ``cluster_id`` = the smallest doc id reachable
@@ -786,7 +756,7 @@ def neardup_clusters(
     near-dup graphs are unions of small dense cliques (template families), so
     a handful of rounds in practice; ``max_iter`` is a guard, not a budget
     (raises if the graph somehow hasn't converged). Each round is two keyed
-    shuffles: one coarse-hash groupby that resolves neighbor labels
+    shuffles: one keyed exchange that resolves neighbor labels
     (vectorized searchsorted inside each bucket — the same bounded-bucket
     discipline as the LSH pair stages, no per-row Python in the group UDF)
     and one groupby(node).min aggregate. Label state is one row per distinct
@@ -832,7 +802,6 @@ def neardup_clusters(
                 "key": key,
                 "node": batch.column("node"),
                 "lab": pa.nulls(batch.num_rows, type=pa.int64()),
-                "coarse": pa.compute.bit_wise_and(key, coarse - 1),
             }
         )
 
@@ -844,7 +813,6 @@ def neardup_clusters(
                 "key": key,
                 "node": pa.nulls(batch.num_rows, type=pa.int64()),
                 "lab": batch.column("lab"),
-                "coarse": pa.compute.bit_wise_and(key, coarse - 1),
             }
         )
 
@@ -872,10 +840,14 @@ def neardup_clusters(
 
     prev_sum = None
     for _ in range(max_iter):
-        rows = edges.map_batches(tag_consumers, batch_format="pyarrow").union(
-            labels.map_batches(tag_owners, batch_format="pyarrow")
+        resolved = keyed_exchange(
+            [
+                edges.map_batches(tag_consumers, batch_format="pyarrow"),
+                labels.map_batches(tag_owners, batch_format="pyarrow"),
+            ],
+            "key",
+            resolve,
         )
-        resolved = rows.groupby("coarse").map_groups(resolve, batch_format="pyarrow")
         labels = (
             resolved.groupby("node").min("lab").rename_columns({"min(lab)": "lab"})
         ).materialize()

@@ -34,11 +34,11 @@ Scale design (the whole point — 100 TB corpora):
            an oracle-shared exact key; a production variant could swap in
            a rolling 128-bit polynomial at ~w x less hashed bytes.
            Emits (doc, pos, h1, h2) — 28 B/window, ~= 28 B/token.
-  stage 2  ONE all-to-all exchange, bounded fan-in: windows shuffle by
-           coarse = h1 & (COARSE-1) (4096 reduce groups, not one group
-           per distinct window), and each group marks duplicates with a
-           single lexsort + run-length pass. No driver-side dup set, no
-           broadcast — the dup side can be arbitrarily large. This
+  stage 2  ONE keyed exchange on (h1, h2) (stages/exchange.py: a bounded
+           bucket count, not one group per distinct window), and each
+           bucket marks duplicates with a single lexsort + run-length
+           pass. No driver-side dup set, no broadcast — the dup side can
+           be arbitrarily large. This
            exchange is O(total tokens) rows, the same asymptotic traffic
            a distributed suffix-array build pays.
   stage 3  dup positions only (usually a small fraction of the corpus)
@@ -59,14 +59,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-_COARSE = 4096
-_DOC_COARSE = 1024
+from .exchange import keyed_exchange
 
 
 def _window_rows(
     batch: pa.Table, *, text_column: str, id_column: str, w: int
 ) -> pa.Table:
-    """(doc, pos, h1, h2, coarse) per w-token window of each doc in batch."""
+    """(doc, pos, h1, h2) per w-token window of each doc in batch."""
     col = batch.column(text_column)
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
@@ -117,7 +116,6 @@ def _window_rows(
                 "pos": pa.array([], type=pa.int64()),
                 "h1": pa.array([], type=pa.int64()),
                 "h2": pa.array([], type=pa.int64()),
-                "coarse": pa.array([], type=pa.int64()),
             }
         )
     dg = np.frombuffer(bytes(digests), dtype="<u8").reshape(-1, 2)
@@ -129,13 +127,12 @@ def _window_rows(
             "pos": pa.array(np.concatenate(out_pos)),
             "h1": pa.array(h1),
             "h2": pa.array(h2),
-            "coarse": pa.array((h1 & (_COARSE - 1)).astype(np.int64)),
         }
     )
 
 
 def _mark_dups(group: pa.Table) -> pa.Table:
-    """Within one coarse bucket: keep (doc, pos) of windows whose exact
+    """Within one exchange bucket: keep (doc, pos) of windows whose exact
     128-bit key occurs >= 2 times globally (bucket holds ALL rows of each
     of its keys). One lexsort + run-length pass, no Python per row."""
     n = group.num_rows
@@ -144,7 +141,6 @@ def _mark_dups(group: pa.Table) -> pa.Table:
             {
                 "doc": pa.array([], type=pa.int64()),
                 "pos": pa.array([], type=pa.int64()),
-                "doc_coarse": pa.array([], type=pa.int64()),
             }
         )
     h1 = group.column("h1").to_numpy(zero_copy_only=False)
@@ -158,18 +154,11 @@ def _mark_dups(group: pa.Table) -> pa.Table:
     run_len = np.bincount(run_id)
     keep = run_len[run_id] >= 2
     kept = order[keep]
-    d = doc[kept]
-    return pa.table(
-        {
-            "doc": pa.array(d),
-            "pos": pa.array(pos[kept]),
-            "doc_coarse": pa.array((d & (_DOC_COARSE - 1)).astype(np.int64)),
-        }
-    )
+    return pa.table({"doc": pa.array(doc[kept]), "pos": pa.array(pos[kept])})
 
 
 def _merge_islands(group: pa.Table, *, w: int) -> pa.Table:
-    """Within one doc-coarse bucket: merge each doc's dup positions into
+    """Within one doc-keyed exchange bucket: merge each doc's dup positions into
     maximal spans. Sorted positions + fixed window length w mean the
     running max island end is simply prev_pos + w, so island breaks are
     pos_i > pos_{i-1} + w (or a doc change) — one lexsort + reduceat."""
@@ -231,10 +220,8 @@ def _duplicate_spans_unsorted(
         batch_format="pyarrow",
         fn_kwargs={"text_column": text_column, "id_column": id_column, "w": w},
     )
-    marked = wins.groupby("coarse").map_groups(_mark_dups, batch_format="pyarrow")
-    return marked.groupby("doc_coarse").map_groups(
-        lambda g: _merge_islands(g, w=w), batch_format="pyarrow"
-    )
+    marked = keyed_exchange(wins, ["h1", "h2"], _mark_dups)
+    return keyed_exchange(marked, "doc", lambda g: _merge_islands(g, w=w))
 
 
 def duplicate_span_doc_stats(

@@ -8,15 +8,16 @@ from the output. This is the exact-line variant of the family next to
 documents); no reference analog (search library) — charter §8.2 territory.
 
 Scale shape (100 TB): explode is a vectorized Arrow split (one row per
-line, carrying (line, composite rank ``doc_id * 2^20 + line_no``, coarse
-int64 hash of the line)); the winner per distinct line is a coarse-hash
-groupby (4096 int64 buckets — the shuffle sorts a small-int column, never
+line, carrying (line, composite rank ``doc_id * 2^20 + line_no``)); the
+winner per distinct line is a keyed exchange on the line
+(stages/exchange.py — the shuffle sorts a small-int bucket column, never
 strings) with a vectorized first-per-code min inside each bucket, so the
 reduce output is one row per DISTINCT line and no per-line Python group
-ever runs (the stages/dedup.py + salted-windows lessons); the exploded
-stream is coalesced to 2 x cluster CPUs blocks before the exchange
-(stages/clean.py lesson). Reassembly buckets 8k documents per group and
-joins each document's kept lines with one vectorized ``pc.binary_join``.
+ever runs; the input is coalesced to 2 x cluster CPUs blocks, so the
+exploded stream reaches the exchange in that many (stages/clean.py
+lesson). Reassembly buckets 8k
+documents per group and joins each document's kept lines with one
+vectorized ``pc.binary_join``.
 Two keyed exchanges total, the honest price of a global dedup.
 """
 
@@ -27,21 +28,19 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from .exchange import keyed_exchange
+
 #: line_no packs into the low bits of the winner rank; 2^20 lines per doc
 #: is asserted at explode time (doc_id then must fit 2^43 — it does for any
 #: corpus this engine addresses; revisit the split if either bound moves)
 _LINE_BITS = 20
 _LINE_CAP = 1 << _LINE_BITS
-#: coarse winner-exchange buckets: bounded group sizes at any corpus size
-#: (lines per bucket ~ total_lines / 4096), int64 sort key for the shuffle
-_COARSE_BUCKETS = 4096
 
 
 _EXPLODE_EMPTY = pa.table(
     {
         "line": pa.array([], type=pa.string()),
         "rank": pa.array([], type=pa.int64()),
-        "coarse": pa.array([], type=pa.int64()),
     }
 )
 
@@ -66,21 +65,7 @@ def _explode(batch: pa.Table, *, text_column: str, id_column: str, delim: str) -
     offs = np.concatenate(([0], np.cumsum(counts)[:-1]))
     line_no = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(offs, counts)
     rank = (doc_of_line << _LINE_BITS) | line_no
-    # coarse exchange key: int64 hash of the line (computed on the batch's
-    # UNIQUE lines only), so the winner shuffle sorts a small-int column
-    # instead of strings (the stages/dedup.py coarse-hash lesson)
-    denc = flat.dictionary_encode()
-    if isinstance(denc, pa.ChunkedArray):
-        denc = denc.combine_chunks()
-    from .textstats import md5_hex_utf8  # buffer-direct, no per-row str round trip
-
-    uniq_h = np.fromiter(
-        (int(h[:16], 16) % _COARSE_BUCKETS for h in md5_hex_utf8(denc.dictionary)),
-        dtype=np.int64,
-        count=len(denc.dictionary),
-    )
-    coarse = uniq_h[denc.indices.to_numpy(zero_copy_only=False)]
-    return pa.table({"line": flat, "rank": pa.array(rank), "coarse": pa.array(coarse)})
+    return pa.table({"line": flat, "rank": pa.array(rank)})
 
 
 def line_dedup(
@@ -89,33 +74,30 @@ def line_dedup(
     text_column: str = "text",
     id_column: str = "doc_id",
     delim: str = "\n",
-    shuffle_blocks: int | None = None,
     docs_per_group_bits: int = 13,
 ) -> ray.data.Dataset:
     """Rows (doc_id, text) with every globally-duplicate line reduced to its
     first occurrence; fully-deduplicated documents are dropped (mirroring
     the oracle's GROUP BY over kept lines only).
 
-    ``shuffle_blocks`` coalesces the exploded line stream before the winner
-    groupby (default 2 × cluster CPUs — the sort shuffle's bookkeeping is
-    quadratic in block count, the stages/clean.py lesson); reassembly
+    The input is coalesced to 2 × cluster CPUs blocks before the explode,
+    so the line stream reaches the winner exchange in that many blocks (the
+    sort shuffle's bookkeeping is quadratic in block count, the
+    stages/clean.py lesson) and the explode fuses with the exchange's
+    bucketing; reassembly
     groups 2^``docs_per_group_bits`` documents per task and joins lines
     with one vectorized ``pc.binary_join`` per group, never a per-document
     Python group."""
-    exploded = ds.map_batches(
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    exploded = ds.repartition(max(16, 2 * cpus)).map_batches(
         _explode,
         batch_format="pyarrow",
         fn_kwargs={"text_column": text_column, "id_column": id_column, "delim": delim},
     )
-    if shuffle_blocks is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        shuffle_blocks = max(16, 2 * cpus)
-    exploded = exploded.repartition(shuffle_blocks)
 
     def win(group: pa.Table) -> pa.Table:
-        """Min rank per distinct line of one coarse bucket, vectorized
-        (dictionary-encode + sort + first-per-code) — the int64 coarse key
-        keeps the exchange sort off the string column."""
+        """Min rank per distinct line of one exchange bucket, vectorized
+        (dictionary-encode + sort + first-per-code)."""
         lines = group.column("line")
         if isinstance(lines, pa.ChunkedArray):
             lines = lines.combine_chunks()
@@ -132,7 +114,7 @@ def line_dedup(
             }
         )
 
-    winners = exploded.groupby("coarse").map_groups(win, batch_format="pyarrow")
+    winners = keyed_exchange(exploded, "line", win)
 
     def decode(batch: pa.Table) -> pa.Table:
         rank = batch.column("min_rank").to_numpy(zero_copy_only=False).astype(np.int64)

@@ -24,6 +24,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .exchange import keyed_exchange
+
 EARTH_RADIUS_KM = 6371.0088  # IUGG mean Earth radius, like Spatial4n's
 
 
@@ -141,7 +143,7 @@ def distance_join_pairs(
     — constant, not quadratic), so any pair within the radius shares at
     least one cell. One groupby(cell) shuffle; per cell a vectorized
     pairwise haversine; duplicate discoveries collapse through the
-    coarse-hash pair reduce. Points with |lat| > ``lat_cap`` are rejected
+    keyed exchange on the pair. Points with |lat| > ``lat_cap`` are rejected
     (polar caps would need special-cased banding — documented domain
     limit, not a silent wrong answer). ``max_cell`` optionally SKIPS cells
     with more members (dense-city skew guard) — that makes the join
@@ -224,13 +226,6 @@ def distance_join_pairs(
             "distance_km": pa.array(np.concatenate(d_parts)),
         })
 
-    def add_pair_coarse(batch: pa.Table) -> pa.Table:
-        a = batch.column("id_a").to_numpy(zero_copy_only=False).view(np.uint64)
-        b = batch.column("id_b").to_numpy(zero_copy_only=False).view(np.uint64)
-        with np.errstate(over="ignore"):
-            h = a * np.uint64(0x9E3779B97F4A7C15) + b
-        return batch.append_column("pc", pa.array((h & np.uint64(1023)).astype(np.int64)))
-
     def dedup_pairs(group: pa.Table) -> pa.Table:
         a = group.column("id_a").to_numpy(zero_copy_only=False)
         b = group.column("id_b").to_numpy(zero_copy_only=False)
@@ -244,14 +239,12 @@ def distance_join_pairs(
             "distance_km": pa.array(d2[first]),
         })
 
-    return (
+    pairs = (
         ds.map_batches(emit_cells, batch_format="pyarrow")
         .groupby("cell")
         .map_groups(cell_pairs, batch_format="pyarrow")
-        .map_batches(add_pair_coarse, batch_format="pyarrow")
-        .groupby("pc")
-        .map_groups(dedup_pairs, batch_format="pyarrow")
     )
+    return keyed_exchange(pairs, ["id_a", "id_b"], dedup_pairs)
 
 
 def nearest_k(

@@ -26,6 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.analysis import ENGLISH_STOP_WORDS, Analyzer
+from .exchange import keyed_exchange
 
 # A BPE-ish pre-tokenization regex (GPT-2 style, simplified): word pieces,
 # numbers, punctuation runs. The three alternatives match disjoint character
@@ -507,47 +508,23 @@ def top_terms_per_group(
     group_column: str = "lang",
     text_column: str = "text",
     k: int = 5,
-    coarse_groups: int = 512,
 ) -> "ray.data.Dataset":
     """Trending terms: the top-k analyzer tokens per group by exact count
     (ties by token asc) — the windowed/grouped text top-k every corpus
     dashboard and data-mixing report needs.
 
     Plan: per-batch (group, token) partial counts (combiner BEFORE the
-    shuffle), ONE coarse-hash groupby with an in-group lexsort run-length
+    shuffle), ONE keyed exchange on (group, token) with an in-bucket lexsort run-length
     merge (the repo's standard reduce — Ray's per-key aggregate measured
     ~6x slower on mostly-unique keys), then a len(groups)-sized final top-k
     pass. Exchange rows ~ distinct (batch, group, token), never token
     occurrences."""
     import ray.data  # noqa: F401
 
-    mask = coarse_groups - 1
-
     def partials(batch: pa.Table) -> pa.Table:
         return _group_term_partials(
             batch, group_column=group_column, text_column=text_column
         )
-
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        # deterministic cross-process hash (Python hash() is salted per
-        # process and would split a pair's counts across coarse groups)
-        import hashlib as _hl
-
-        if batch.num_rows:
-            h = np.array(
-                [
-                    int.from_bytes(_hl.md5(f"{g}\x00{t}".encode()).digest()[:8], "big")
-                    & mask
-                    for g, t in zip(
-                        batch.column(group_column).to_pylist(),
-                        batch.column("tok").to_pylist(),
-                    )
-                ],
-                dtype=np.int64,
-            )
-        else:
-            h = np.empty(0, dtype=np.int64)
-        return batch.append_column("__coarse", pa.array(h))
 
     def merge(group: pa.Table) -> pa.Table:
         g = np.asarray(group.column(group_column).to_pylist(), dtype=object)
@@ -576,10 +553,7 @@ def top_terms_per_group(
         order = np.lexsort((t, -n))[:k]
         return group.take(pa.array(order))
 
-    counts = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .map_batches(add_coarse, batch_format="pyarrow")
-        .groupby("__coarse")
-        .map_groups(merge, batch_format="pyarrow")
+    counts = keyed_exchange(
+        ds.map_batches(partials, batch_format="pyarrow"), [group_column, "tok"], merge
     )
     return counts.groupby(group_column).map_groups(topk, batch_format="pyarrow")

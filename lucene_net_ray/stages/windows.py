@@ -29,6 +29,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from .exchange import keyed_exchange
+
 
 def tumbling_window_agg(
     ds: ray.data.Dataset,
@@ -314,15 +316,6 @@ def funnel_counts(
 # their unsalted twins — the driver proves the scale path hash-exact.
 
 
-def _mix_coarse(u: np.ndarray, b: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Deterministic 64-bit mix of (user, block) -> coarse bucket id."""
-    x = (u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) ^ (
-        b.astype(np.uint64) * np.uint64(0xBF58476D1CE4E5B9)
-    )
-    x ^= x >> np.uint64(33)
-    return (x & np.uint64(n_buckets - 1)).astype(np.int64)
-
-
 def sessionize_salted(
     ds: ray.data.Dataset,
     *,
@@ -332,27 +325,22 @@ def sessionize_salted(
     user_column: str = "user_id",
     value_column: str = "value",
     id_column: str = "event_id",
-    coarse: int = 1024,
 ) -> ray.data.Dataset:
     """sessionize() with the hot-user bound removed: identical output, but
-    no reduce task ever holds more than one coarse bucket of
-    (user, ts//salt_us) blocks. All three exchanges are bounded
-    coarse-hash groupbys with vectorized multi-group kernels (the repo's
+    no reduce task ever holds more than one exchange bucket of
+    (user, ts//salt_us) blocks. All three exchanges are keyed exchanges
+    (stages/exchange.py) with vectorized multi-group kernels (the repo's
     reduce idiom — one lexsort + segmented reduces per bucket, never a
     Ray task per tiny group)."""
     if salt_us < 1:
         raise ValueError("salt_us must be >= 1")
-    C = int(coarse)
 
     def add_keys(batch: pa.Table) -> pa.Table:
         us = batch.column(ts_column).cast(pa.int64()).to_numpy()
-        blk = us // salt_us
-        u = batch.column(user_column).cast(pa.int64()).to_numpy()
         return pa.table(
             {
-                "user_id": pa.array(u),
-                "_blk": pa.array(blk),
-                "_c": pa.array(_mix_coarse(u, blk, C)),
+                "user_id": batch.column(user_column).cast(pa.int64()),
+                "_blk": pa.array(us // salt_us),
                 "_ts": pa.array(us),
                 "_id": batch.column(id_column).cast(pa.int64()),
                 "_val": batch.column(value_column).cast(pa.float64()),
@@ -414,9 +402,11 @@ def sessionize_salted(
         )
 
     local = (
-        ds.map_batches(add_keys, batch_format="pyarrow")
-        .groupby("_c")
-        .map_groups(local_sessions, batch_format="pyarrow")
+        keyed_exchange(
+            ds.map_batches(add_keys, batch_format="pyarrow"),
+            ["user_id", "_blk"],
+            local_sessions,
+        )
         # consumed twice below (boundary walk + interior join); the rows
         # are per-SESSION summaries — output-sized, not event-sized — so
         # this is the one materialization the two-pass algorithm pays
@@ -427,11 +417,7 @@ def sessionize_salted(
         import pyarrow.compute as pc
 
         o = batch.column("ordinal")
-        t = batch.filter(pc.or_(pc.equal(o, 1), pc.equal(o, batch.column("n_local"))))
-        u = t.column("user_id").to_numpy()
-        return t.append_column(
-            "_uc", pa.array(_mix_coarse(u, np.zeros_like(u), C))
-        )
+        return batch.filter(pc.or_(pc.equal(o, 1), pc.equal(o, batch.column("n_local"))))
 
     def walk_bucket(group: pa.Table) -> pa.Table:
         """Sequential per-user boundary walk (blocks in time order) for all
@@ -452,7 +438,7 @@ def sessionize_salted(
                        ("user_id", "_blk", "kind", "a", "b")},
                     "s": pa.array([], type=pa.float64()),
                     **{c: pa.array([], type=pa.int64()) for c in
-                       ("t", "cf", "ordinal", "n_local", "_c")},
+                       ("t", "cf", "ordinal", "n_local")},
                 }
             )
         order = np.lexsort((oarr, barr, uarr))
@@ -530,20 +516,15 @@ def sessionize_salted(
                 "cf": pa.array(np.array(c5, dtype=np.int64)),
                 "ordinal": pa.array(np.zeros(ua.size, dtype=np.int64)),
                 "n_local": pa.array(np.zeros(ua.size, dtype=np.int64)),
-                "_c": pa.array(_mix_coarse(ua, blk_key, C)),
             }
         )
 
-    phase2 = (
-        local.map_batches(keep_boundary, batch_format="pyarrow")
-        .groupby("_uc")
-        .map_groups(walk_bucket, batch_format="pyarrow")
+    phase2 = keyed_exchange(
+        local.map_batches(keep_boundary, batch_format="pyarrow"), "user_id", walk_bucket
     )
 
     def interior_joinable(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        u = batch.column("user_id").to_numpy()
-        b = batch.column("_blk").to_numpy()
         return pa.table(
             {
                 "user_id": batch.column("user_id"),
@@ -556,13 +537,8 @@ def sessionize_salted(
                 "cf": pa.array(np.zeros(n, dtype=np.int64)),
                 "ordinal": batch.column("ordinal"),
                 "n_local": batch.column("n_local"),
-                "_c": pa.array(_mix_coarse(u, b, C)),
             }
         )
-
-    unioned = phase2.union(
-        local.map_batches(interior_joinable, batch_format="pyarrow")
-    )
 
     def resolve_bucket(group: pa.Table) -> pa.Table:
         """Vectorized id assignment for every (user, block) run in the
@@ -622,7 +598,11 @@ def sessionize_salted(
             }
         )
 
-    return unioned.groupby("_c").map_groups(resolve_bucket, batch_format="pyarrow")
+    return keyed_exchange(
+        [phase2, local.map_batches(interior_joinable, batch_format="pyarrow")],
+        ["user_id", "_blk"],
+        resolve_bucket,
+    )
 
 
 def funnel_counts_salted(
@@ -634,35 +614,30 @@ def funnel_counts_salted(
     type_column: str = "event_type",
     ts_column: str = "ts",
     id_column: str = "event_id",
-    coarse: int = 1024,
 ) -> "ray.data.Dataset":
     """funnel_counts() with the hot-user bound removed via state-machine
     composition: per-(user, time-block) transition vectors (entry step ->
     exit step; cross-block state is JUST the step index since any event of
     a later block is strictly later in ts), composed per user in block
-    order. Identical output. Both exchanges are bounded coarse-hash
-    groupbys with multi-group kernels."""
+    order. Identical output. Both exchanges are keyed exchanges with
+    multi-group kernels."""
     import pyarrow.compute as pc
 
     if salt_us < 1:
         raise ValueError("salt_us must be >= 1")
     nsteps = len(steps)
     step_of = {s: i for i, s in enumerate(steps)}
-    C = int(coarse)
 
     def add_keys(batch: pa.Table) -> pa.Table:
         us = pc.cast(
             pc.cast(batch.column(ts_column), pa.timestamp("us")), pa.int64()
         ).to_numpy(zero_copy_only=False)
-        blk = us // salt_us
-        u = batch.column(user_column).cast(pa.int64()).to_numpy()
         types = batch.column(type_column).to_pylist()
         tcodes = np.array([step_of.get(t, -1) for t in types], dtype=np.int64)
         return pa.table(
             {
-                "user_id": pa.array(u),
-                "_blk": pa.array(blk),
-                "_c": pa.array(_mix_coarse(u, blk, C)),
+                "user_id": batch.column(user_column).cast(pa.int64()),
+                "_blk": pa.array(us // salt_us),
                 "_ts": pa.array(us),
                 "_id": batch.column(id_column).cast(pa.int64()),
                 "_tc": pa.array(tcodes),
@@ -675,7 +650,7 @@ def funnel_counts_salted(
         n = group.num_rows
         if n == 0:
             cols = {c: pa.array([], type=pa.int64())
-                    for c in ("user_id", "_blk", "_uc")}
+                    for c in ("user_id", "_blk")}
             for s in range(nsteps + 1):
                 cols[f"f{s}"] = pa.array([], type=pa.int64())
             return pa.table(cols)
@@ -710,16 +685,15 @@ def funnel_counts_salted(
         cols = {
             "user_id": pa.array(out_u),
             "_blk": pa.array(out_b),
-            "_uc": pa.array(_mix_coarse(out_u, np.zeros_like(out_u), C)),
         }
         for s in range(nsteps + 1):
             cols[f"f{s}"] = pa.array(trans[:, s])
         return pa.table(cols)
 
-    per_block = (
-        ds.map_batches(add_keys, batch_format="pyarrow")
-        .groupby("_c")
-        .map_groups(block_transitions, batch_format="pyarrow")
+    per_block = keyed_exchange(
+        ds.map_batches(add_keys, batch_format="pyarrow"),
+        ["user_id", "_blk"],
+        block_transitions,
     )
 
     def compose_bucket(group: pa.Table) -> pa.Table:
@@ -758,9 +732,7 @@ def funnel_counts_salted(
             }
         )
 
-    per = per_block.groupby("_uc").map_groups(
-        compose_bucket, batch_format="pyarrow"
-    )
+    per = keyed_exchange(per_block, "user_id", compose_bucket)
 
     def expand(batch: pa.Table) -> pa.Table:
         r = batch.column("reached").to_numpy(zero_copy_only=False)

@@ -16,15 +16,26 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 
 def write_index_manifest(out_dir: str, manifest: dict) -> None:
+    """Commit ``manifest`` atomically, then delete the temp segment dirs it
+    does not list (IndexFileDeleter analog): a crashed segment write leaves
+    a ``segNNNNNN.tmp<pid>`` dir, and once a manifest is committed no task
+    of that commit is still writing one."""
     tmp = os.path.join(out_dir, "manifest.json.tmp")
     with open(tmp, "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, os.path.join(out_dir, "manifest.json"))
+    seg_root = os.path.join(out_dir, "segments")
+    if os.path.isdir(seg_root):
+        listed = {f"seg{r['seg_id']:06d}" for r in manifest.get("segments", [])}
+        for name in os.listdir(seg_root):
+            if ".tmp" in name and name not in listed:
+                shutil.rmtree(os.path.join(seg_root, name), ignore_errors=True)
 
 
 class IndexMeta:

@@ -90,7 +90,7 @@ def test_block_join_parent_scores():
 
 def test_semi_join_large_from_side_takes_shuffle_path():
     """Round-4 guard: a from side over the broadcast budget must NOT
-    take_all the key set to the driver — the coarse-hash shuffle join runs
+    take_all the key set to the driver — the keyed-exchange join runs
     instead and produces identical results (semi and anti, int and string
     keys)."""
     import numpy as np
@@ -134,7 +134,7 @@ def test_semi_join_large_from_side_takes_shuffle_path():
     assert got_semi == expect_semi
     assert got_anti == expect_anti
 
-    # string keys route through the md5 coarse hash
+    # string keys route through the dictionary-encoded string hash
     to_s = ray.data.from_arrow(pa.table({"name": [f"s{i % 37}" for i in range(300)],
                                          "v": list(range(300))}))
     from_s = ray.data.from_arrow(pa.table({"name": [f"s{i}" for i in range(0, 37, 2)]}))

@@ -272,6 +272,29 @@ def test_mlt_by_doc(tmp_path):
     assert [d for d, _ in hits][:2] == [0, 1]
 
 
+def test_add_and_split_drop_tombstoned_docs(tmp_path):
+    """add_indexes and split_index import only a source's live docs: a doc
+    deleted in the source must not come back in the copy."""
+    from lucene_net_ray.pipelines.maintenance import split_index
+    from lucene_net_ray.query import TermQuery
+    from lucene_net_ray.state.deletes import delete_by_query
+
+    idx = str(tmp_path / "idx")
+    build_index_from_table(generate_corpus(60, seed=7), idx, target_rows_per_segment=20)
+    n_del = delete_by_query(idx, TermQuery(term="public"))
+    assert n_del > 0
+    q = parse_query("public")
+    added = add_indexes(str(tmp_path / "added"), idx)
+    check_index(added)
+    assert added.max_doc == 60 - n_del
+    assert Searcher(added, use_actors=False).count(q) == 0
+    parts = split_index(idx, [str(tmp_path / "p0"), str(tmp_path / "p1")])
+    assert sum(p.max_doc for p in parts) == 60 - n_del
+    for p in parts:
+        check_index(p)
+        assert Searcher(p, use_actors=False).count(q) == 0
+
+
 def test_split_index_round_trip(tmp_path):
     from lucene_net_ray.pipelines.maintenance import split_index
     from lucene_net_ray.state.checkindex import check_index
@@ -468,6 +491,8 @@ def test_rewrite_resumes_after_crash(tmp_path, op):
     resumed = run(str(tmp_path / "crashed"))
     check_index(resumed)
     assert digest(resumed) == digest(clean)
+    assert not debris.exists()  # the commit removed the torn temp dir
+    assert sorted(os.listdir(segs)) == sorted(os.path.basename(d) for d in clean.segment_dirs)
     assert digest(run(str(tmp_path / "crashed"))) == digest(clean)
 
 

@@ -175,6 +175,8 @@ def test_sloppy_phrase_engine_vs_oracle(tmp_path):
 def test_sloppy_parser_syntax(tmp_path):
     q = parse_query('"quick brown"~2')
     assert isinstance(q, PhraseQuery) and q.slop == 2
+    q = parse_query('"public static"^2')
+    assert isinstance(q, PhraseQuery) and q.boost == 2.0
 
 
 def test_sloppy_phrase_repeating_terms(tmp_path):

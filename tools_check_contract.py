@@ -1,18 +1,28 @@
 """Driver-contract emulator: runs every queries() entry vs its DuckDB oracle.
 
-Usage: python tools_check_contract.py [sf_dir]   (default /root/testdata/sf0.01)
+Usage: python tools_check_contract.py [sf_dir] [entry,entry,...]
+       (default sf_dir /root/testdata/sf0.01; default: every entry)
+
+Each line ends with the md5 of the entry's canonical frame, so two runs
+(e.g. two commits) can be compared on rows-only entries too. Exits 1 when
+any entry fails or errors.
 """
-import os
-"""Emulate the driver's correctness gate: run queries() vs oracle_sql() at a given sf."""
-import sys, time
+import hashlib, os, sys, time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import numpy as np, pandas as pd, duckdb, ray
 
 sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
+only = set(sys.argv[2].split(",")) if len(sys.argv) > 2 else None
+t_start = time.perf_counter()
 ray.init(address="local", num_cpus=8, include_dashboard=False)
 
 import __ray_entry__ as E
 qs, sqls = E.queries(), E.oracle_sql()
+if only is not None:
+    unknown = only - set(qs)
+    if unknown:
+        sys.exit(f"unknown entries: {sorted(unknown)}")
+    qs = {n: f for n, f in qs.items() if n in only}
 
 con = duckdb.connect()
 for t in ["region","nation","customer","supplier","part","orders","lineitem","events","documents","embeddings"]:
@@ -39,6 +49,9 @@ def canon(df):
             df[c] = df[c].astype(np.int64)
     return df.sort_values(by=list(df.columns)).reset_index(drop=True)
 
+def frame_md5(df):
+    return hashlib.md5(df.to_csv(index=False).encode()).hexdigest()[:12]
+
 fails = []
 for name, fn in qs.items():
     t0 = time.perf_counter()
@@ -50,7 +63,7 @@ for name, fn in qs.items():
         continue
     dt = time.perf_counter() - t0
     if name not in sqls:
-        print(f"{name}: rows={len(mine)} (rows-only, {dt:.1f}s)")
+        print(f"{name}: rows={len(mine)} (rows-only, {dt:.1f}s) md5={frame_md5(mine)}")
         if len(mine) == 0 and name not in ("minhash_pairs",):
             fails.append((name, "0 rows (rows-only check weak)"))
         continue
@@ -64,7 +77,7 @@ for name, fn in qs.items():
     ok_cols = list(mine.columns) == list(oracle.columns)
     ok_vals = ok_rows and ok_cols and mine.equals(oracle)
     status = "OK" if ok_vals else "MISMATCH"
-    print(f"{name}: {status} rows={len(mine)}/{len(oracle)} cols={list(mine.columns)} ({dt:.1f}s)")
+    print(f"{name}: {status} rows={len(mine)}/{len(oracle)} cols={list(mine.columns)} ({dt:.1f}s) md5={frame_md5(mine)}")
     if not ok_vals:
         fails.append((name, "mismatch"))
         if ok_rows and ok_cols:
@@ -75,3 +88,5 @@ for name, fn in qs.items():
             print("  mine head\n", mine.head(3), "\n  oracle head\n", oracle.head(3))
 ray.shutdown()
 print("FAILS:", fails if fails else "none")
+print(f"TOTAL: {len(qs)} entries in {time.perf_counter() - t_start:.1f}s")
+sys.exit(1 if fails else 0)
