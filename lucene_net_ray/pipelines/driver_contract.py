@@ -943,11 +943,13 @@ def q_embed_neardup_lsh(sf_dir: str):
 
 
 def _merged_for(sf_dir: str) -> str:
-    """Merge (or reuse) the cached documents index into a merged layout."""
-    from .merge import merge_index
+    """Merge (or reuse) the cached documents index into a merged layout. The
+    cache dir is named after the merged format version, so a cache of an
+    older format is never reopened."""
+    from .merge import MERGED_VERSION, merge_index
 
     meta, _ = _index_for(sf_dir)
-    out = meta.index_dir + "_merged"
+    out = f"{meta.index_dir}_merged_v{MERGED_VERSION}"
     merge_index(meta, out, bucket_size=4)
     return out
 

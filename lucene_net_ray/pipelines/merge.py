@@ -21,9 +21,10 @@ Physical plan (round 2 — scale-safe serving):
               spliced into one chunk row; runs crossing block boundaries stay
               as separate chunk rows (the reader concatenates chunks in
               (bucket, first_seg) order, which is docID order).
-  write       one Parquet part file per output block + a parts manifest with
-              per-file [term_min, term_max] — the reader binary-searches the
-              manifest and reads ONLY matching row groups per term, so serving
+  write       the sorted-parts store (state/sorted_parts.py): one Parquet
+              part file per output block, renamed into place, + per-part
+              [min, max] entries in the manifest — the reader bisects them
+              and reads ONLY matching row groups per term, so serving
               memory is O(1 part), never O(index).
 
 Skew handling (head terms like 'public'/'import' with df ~ corpus size):
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -52,6 +52,7 @@ import ray.data
 from ..functions import codec
 from ..state.index import IndexMeta, write_index_manifest
 from ..state.segment import FifoCache, SegmentReader, postings_elems
+from ..state.sorted_parts import SortedParts, covering, write_sorted_parts
 from .search import SERVING_ACTOR_OPTIONS, Searcher, _SegmentGroup
 
 
@@ -116,13 +117,6 @@ def _segment_term_rows(batch: pa.Table, *, with_blobs: bool, bucket_size: int = 
             "df": pa.array(r.df_array.astype(np.int64)),
             "ttf": pa.array(r.ttf_array.astype(np.int64)),
         }
-        if not with_blobs:
-            # stats-only path keeps a coarse bounded groupby key
-            cols["coarse"] = pa.array(
-                np.array(
-                    [zlib.crc32(t.encode()) & 0x7FF for t in r.terms], dtype=np.int64
-                )
-            )
         if with_blobs:
             post = r._post
             doc_off = r._doc_off.astype(np.int64)
@@ -172,7 +166,7 @@ def _rebase_list(chunked, base: int):
     return pa.ListArray.from_arrays(arr.offsets, flat)
 
 
-def global_term_stats(index: IndexMeta, num_partitions: int | None = None) -> ray.data.Dataset:
+def global_term_stats(index: IndexMeta) -> ray.data.Dataset:
     """(term, df, ttf) summed across segments via a groupby(term) shuffle.
 
     Rows are small (no posting blobs): each segment's term table is already
@@ -368,6 +362,23 @@ def _copy_file(src: str, dst: str) -> None:
     os.replace(tmp, dst)
 
 
+#: merged manifest format: 3 = sorted-parts entries {"file", "min", "max", "rows"}
+MERGED_VERSION = 3
+
+
+def _merged_manifest(out_dir: str) -> dict:
+    """The manifest committed at ``out_dir``. A merged index of another
+    format version is refused: its parts entries would be misread."""
+    with open(os.path.join(out_dir, "manifest.json")) as f:
+        manifest = json.load(f)
+    if manifest.get("version") != MERGED_VERSION:
+        raise ValueError(
+            f"{out_dir} holds a version-{manifest.get('version')} merged index, not "
+            f"version {MERGED_VERSION}: run merge_index() again into a fresh directory"
+        )
+    return manifest
+
+
 def merge_index(index: IndexMeta | str, out_dir: str, *, bucket_size: int = 8) -> str:
     """Compact a segmented index into a term-range-partitioned merged index.
 
@@ -375,9 +386,10 @@ def merge_index(index: IndexMeta | str, out_dir: str, *, bucket_size: int = 8) -
     with TieredMergePolicy's bounded-inputs-per-merge idea expressed as the
     (term, bucket) shuffle key. Output under ``out_dir``:
       parts/*.parquet        chunk rows (term, bucket, blobs, blocks), sorted
-                             by term; each file covers a disjoint term range
+                             by term: a sorted-parts store keyed on term
       docs/docs-*.parquet    per-source-segment doc tables (global docIDs)
-      manifest.json          includes the per-part [term_min, term_max] index
+      manifest.json          version 3; includes the store's per-part
+                             [min, max] entries
     Postings in the merged index carry GLOBAL docIDs.
 
     Raises if the source index has un-expunged delete tombstones: a
@@ -387,6 +399,7 @@ def merge_index(index: IndexMeta | str, out_dir: str, *, bucket_size: int = 8) -
     """
     index = index if isinstance(index, IndexMeta) else IndexMeta(index)
     if os.path.exists(os.path.join(out_dir, "manifest.json")):
+        _merged_manifest(out_dir)  # refuses an older format
         return out_dir  # resume: the atomic manifest write IS the commit
     from ..state.deletes import load_deleted
 
@@ -396,19 +409,6 @@ def merge_index(index: IndexMeta | str, out_dir: str, *, bucket_size: int = 8) -
             "expunge_deletes() before merge_index() (a concatenative merge "
             "would resurrect deleted docs)"
         )
-    # write parts into a scratch dir and rename into place before the
-    # manifest commit, so a crashed run never leaves a poisoned parts/
-    # directory for the retry to mix stale files into
-    parts_final = os.path.join(out_dir, "parts")
-    parts_dir = parts_final + f".tmp{os.getpid()}"
-    import shutil as _shutil
-
-    for stale in (
-        p for p in (os.listdir(out_dir) if os.path.isdir(out_dir) else [])
-        if p.startswith("parts")
-    ):
-        _shutil.rmtree(os.path.join(out_dir, stale), ignore_errors=True)
-    os.makedirs(parts_dir, exist_ok=True)
     os.makedirs(os.path.join(out_dir, "docs"), exist_ok=True)
 
     seg_rows = [
@@ -437,34 +437,7 @@ def merge_index(index: IndexMeta | str, out_dir: str, *, bucket_size: int = 8) -
     merged = term_rows.repartition(n_parts).sort(["term", "bucket", "seg_id"]).map_batches(
         _merge_sorted_batch, batch_format="pyarrow", batch_size=None
     )
-    # Small row groups are what make per-term serving cheap: the reader
-    # prunes by the term column's ROW-GROUP statistics, so the unit of IO per
-    # term is one row group, not one part file. 512 rows ~ a few hundred KB
-    # at typical chunk sizes regardless of how many part files the sort made.
-    merged.write_parquet(parts_dir, row_group_size=512)
-
-    # per-part term-range manifest: rows within each file are sorted, so
-    # min/max = first/last row. Read ONLY the first and last row group's
-    # term column (exact, unlike footer string statistics which writers may
-    # truncate); row count comes from the footer — the driver never streams
-    # a part's data pages
-    parts_meta = []
-    for f in sorted(os.listdir(parts_dir)):
-        if not f.endswith(".parquet"):
-            continue
-        pf = pq.ParquetFile(os.path.join(parts_dir, f))
-        nrows = pf.metadata.num_rows
-        if nrows == 0:
-            pf.close()
-            os.remove(os.path.join(parts_dir, f))
-            continue
-        tmin = pf.read_row_group(0, columns=["term"]).column("term")[0].as_py()
-        tmax = pf.read_row_group(pf.metadata.num_row_groups - 1, columns=["term"])
-        tmax = tmax.column("term")[-1].as_py()
-        pf.close()
-        parts_meta.append({"file": f, "term_min": tmin, "term_max": tmax, "rows": nrows})
-    parts_meta.sort(key=lambda p: (p["term_min"], p["term_max"]))
-    os.replace(parts_dir, parts_final)
+    parts_meta = write_sorted_parts(merged, os.path.join(out_dir, "parts"), "term")
 
     # docs: per-segment doc tables already carry global docIDs, so "copying"
     # them is pure data movement that must NOT stream through the driver (at
@@ -487,7 +460,7 @@ def merge_index(index: IndexMeta | str, out_dir: str, *, bucket_size: int = 8) -
     write_index_manifest(
         out_dir,
         {
-            "version": 2,
+            "version": MERGED_VERSION,
             "kind": "merged",
             "max_doc": index.max_doc,
             "sum_ttf": index.sum_ttf,
@@ -575,48 +548,16 @@ class _LazyNorms:
         return out
 
 
-class MergedIndexReader:
-    """Scale-safe facade over a merged (term-range-partitioned) index.
+class _MergedDocs:
+    """What every merged reader serves from the per-segment docs files
+    (shared storage): collection stats, global norms, stored columns."""
 
-    Exposes the SegmentReader surface the scorer needs — postings() returns
-    GLOBAL docids (doc_base 0, norms indexed globally) — so SegmentScorer
-    works unchanged. Per-term access binary-searches the parts manifest and
-    reads ONLY the matching row groups of the matching part file(s)
-    (Parquet term-column statistics prune inside a file), so resident state
-    is O(parts manifest + one part's rows), never O(index). Head terms are
-    several chunk rows, concatenated in (bucket, first_seg) = docID order.
-    """
-
-    _BLOB_COLS = ["term", "bucket", "first_seg", "df", "ttf", "doc_blob", "frq_blob", "pos_blob"]
-
-    def __init__(self, out_dir: str):
-        with open(os.path.join(out_dir, "manifest.json")) as f:
-            self.manifest = json.load(f)
-        self.out_dir = out_dir
-        parts_dir = os.path.join(out_dir, "parts")
-        parts = self.manifest.get("parts")
-        if parts is None:  # pre-manifest fallback: derive ranges on open
-            parts = []
-            for fn in sorted(os.listdir(parts_dir)):
-                if fn.endswith(".parquet"):
-                    t = pq.read_table(os.path.join(parts_dir, fn), columns=["term"])
-                    if t.num_rows:
-                        parts.append(
-                            {"file": fn, "term_min": t.column("term")[0].as_py(),
-                             "term_max": t.column("term")[-1].as_py(), "rows": t.num_rows}
-                        )
-        self._parts = parts
-        self._part_paths = [os.path.join(parts_dir, p["file"]) for p in parts]
-        self._tmin = [p["term_min"] for p in parts]
-        self._tmax = [p["term_max"] for p in parts]
-        self._rg_index: dict[int, tuple] = {}  # part idx -> (rg_mins, rg_maxs)
-        self._pf_cache: dict[int, "pq.ParquetFile"] = {}  # open part handles (footer reuse)
-        self._terms_cache: np.ndarray | None = None
-        self._handles: dict[str, int] = {}  # WAND term handles
-        self._handle_rows: dict[int, dict] = {}
-        self._handle_seq = 0
-
-        segs = self.manifest["segments"]
+    def __init__(self, out_dir: str, manifest: dict):
+        self.manifest = manifest
+        self.doc_base = 0
+        self.doc_count = manifest["max_doc"]
+        self.sum_ttf = manifest["sum_ttf"]
+        segs = manifest["segments"]
         docs_dir = os.path.join(out_dir, "docs")
         self._docs_files = [
             os.path.join(docs_dir, f"seg{r['seg_id']:06d}.parquet") for r in segs
@@ -624,72 +565,53 @@ class MergedIndexReader:
         counts = np.array([r["doc_count"] for r in segs], dtype=np.int64)
         bases = np.concatenate(([0], np.cumsum(counts)[:-1]))
         self.norms = _LazyNorms(self._docs_files, bases, counts)
-        self.doc_base = 0
-        self.doc_count = self.manifest["max_doc"]
-        self.sum_ttf = self.manifest["sum_ttf"]
-        # metrics for scale tests: how many part files each lookup touched
-        self.files_read = 0
+
+    @property
+    def has_positions(self) -> bool:
+        return self.manifest.get("index_options") in ("positions", "offsets")
+
+    def doc_values(self, field: str) -> np.ndarray:
+        """Stored column across all segments (concatenated, global order)."""
+        parts = [
+            pq.read_table(f, columns=[field]).column(field).to_numpy(zero_copy_only=False)
+            for f in self._docs_files
+        ]
+        return np.concatenate(parts)
+
+
+class MergedIndexReader(_MergedDocs):
+    """Scale-safe facade over a merged (term-range-partitioned) index.
+
+    Exposes the SegmentReader surface the scorer needs — postings() returns
+    GLOBAL docids (doc_base 0, norms indexed globally) — so SegmentScorer
+    works unchanged. Per-term access goes through the sorted-parts store
+    ``parts`` (state/sorted_parts.py): it bisects the parts manifest and
+    reads ONLY the matching row groups of the covering part file(s), so
+    resident state is O(parts manifest + one part's rows), never O(index).
+    Head terms are several chunk rows, concatenated in (bucket, first_seg) =
+    docID order.
+    """
+
+    _BLOB_COLS = ["term", "bucket", "first_seg", "df", "ttf", "doc_blob", "frq_blob", "pos_blob"]
+
+    def __init__(self, out_dir: str):
+        super().__init__(out_dir, _merged_manifest(out_dir))
+        self.out_dir = out_dir
+        # parts.parts_read counts the part files lookups touched (scale tests)
+        self.parts = SortedParts(os.path.join(out_dir, "parts"), self.manifest["parts"], "term")
+        self._terms_cache: np.ndarray | None = None
+        self._handles: dict[str, int] = {}  # WAND term handles
+        self._handle_rows: dict[int, dict] = {}
+        self._handle_seq = 0
         self._stats_cache = FifoCache(self._STATS_CACHE_TERMS)
         # decoded postings, element-budgeted like SegmentReader's (serving
         # hits the same head terms on every query; the per-term footer +
         # row-group read was the merged p50's dominant cost)
         self._post_cache = FifoCache(self._POSTINGS_CACHE_ELEMS, postings_elems)
 
-    # -- part-file navigation ----------------------------------------------
-    def _candidate_parts(self, term: str) -> list[int]:
-        return [
-            i
-            for i in range(len(self._parts))
-            if self._tmin[i] <= term <= self._tmax[i]
-        ]
-
-    def _pf(self, i: int) -> "pq.ParquetFile":
-        pf = self._pf_cache.get(i)
-        if pf is None:
-            pf = pq.ParquetFile(self._part_paths[i])
-            if len(self._pf_cache) >= 64:
-                self._pf_cache.pop(next(iter(self._pf_cache)))
-            self._pf_cache[i] = pf
-        return pf
-
-    def _row_groups_for(self, i: int, term: str) -> list[int]:
-        idx = self._rg_index.get(i)
-        if idx is None:
-            md = self._pf(i).metadata
-            mins, maxs = [], []
-            tcol = None
-            for c in range(md.row_group(0).num_columns):
-                if md.row_group(0).column(c).path_in_schema == "term":
-                    tcol = c
-                    break
-            for rg in range(md.num_row_groups):
-                st = md.row_group(rg).column(tcol).statistics
-                mins.append(st.min if st else None)
-                maxs.append(st.max if st else None)
-            idx = (mins, maxs)
-            self._rg_index[i] = idx
-        mins, maxs = idx
-        return [
-            rg
-            for rg in range(len(mins))
-            if mins[rg] is None or (mins[rg] <= term and term <= maxs[rg])
-        ]
-
     def _rows_for_term(self, term: str, columns: list[str]) -> pa.Table | None:
-        tables = []
-        for i in self._candidate_parts(term):
-            rgs = self._row_groups_for(i, term)
-            if not rgs:
-                continue
-            self.files_read += 1
-            t = self._pf(i).read_row_groups(rgs, columns=columns)
-            t = t.filter(pa.compute.equal(t.column("term"), term))
-            if t.num_rows:
-                tables.append(t)
-        if not tables:
-            return None
-        t = pa.concat_tables(tables)
-        if t.num_rows > 1:
+        t = self.parts.read(term, term, columns)
+        if t is not None and t.num_rows > 1:
             t = t.sort_by([("bucket", "ascending"), ("first_seg", "ascending")])
         return t
 
@@ -793,8 +715,7 @@ class MergedIndexReader:
         10^12-doc corpus is `terms_in_range` against the parts manifest."""
         if self._terms_cache is None:
             cols = [
-                pq.read_table(p, columns=["term"]).column("term").to_numpy(zero_copy_only=False)
-                for p in self._part_paths
+                t.column("term").to_numpy(zero_copy_only=False) for t in self.parts.scan(["term"])
             ]
             allt = np.concatenate(cols) if cols else np.empty(0, dtype=object)
             self._terms_cache = np.unique(allt)
@@ -802,34 +723,24 @@ class MergedIndexReader:
 
     def terms_in_range(self, lo: str, hi: str) -> np.ndarray:
         """Sorted unique terms in [lo, hi] reading only covering parts."""
-        out = []
-        for i in range(len(self._parts)):
-            if self._tmax[i] < lo or self._tmin[i] > hi:
-                continue
-            col = pq.read_table(self._part_paths[i], columns=["term"]).column("term").to_numpy(zero_copy_only=False)
-            sel = col[(col >= lo) & (col <= hi)]
-            if sel.size:
-                out.append(sel)
-        return np.unique(np.concatenate(out)) if out else np.empty(0, dtype=object)
+        t = self.parts.read(lo, hi, ["term"])
+        if t is None:
+            return np.empty(0, dtype=object)
+        return np.unique(t.column("term").to_numpy(zero_copy_only=False))
 
     def iter_term_parts(self, part_filter=None):
         """Stream the vocabulary one part at a time (sorted unique per
         chunk). Unbounded multi-term scans (FuzzyQuery prefix_length=0,
         leading-wildcard) consume this instead of `terms`, keeping O(1 part)
         resident at 10^9-term vocabularies. Chunks arrive in ascending
-        global term order (parts sorted by term_min); duplicates can only
-        occur at part boundaries, so callers dedupe their (small) match
-        sets, not the stream. ``part_filter(term_min, term_max) -> bool``
-        vetoes parts from manifest bounds alone — a vetoed part costs zero
-        I/O (files_read counts only parts actually read; tests assert the
-        fuzzy automaton skips most parts)."""
-        for i in sorted(range(len(self._parts)), key=lambda j: self._tmin[j]):
-            if part_filter is not None and not part_filter(self._tmin[i], self._tmax[i]):
-                continue
-            self.files_read += 1
-            col = pq.read_table(self._part_paths[i], columns=["term"]).column("term").to_numpy(zero_copy_only=False)
-            if col.size:
-                yield np.unique(col)
+        global term order; duplicates can only occur at part boundaries, so
+        callers dedupe their (small) match sets, not the stream.
+        ``part_filter(min, max) -> bool`` vetoes parts from manifest bounds
+        alone — a vetoed part costs zero I/O (parts.parts_read counts only
+        parts actually read; tests assert the fuzzy automaton skips most
+        parts)."""
+        for t in self.parts.scan(["term"], part_filter):
+            yield np.unique(t.column("term").to_numpy(zero_copy_only=False))
 
     # 32M elements ~ 512 MB of int64 pairs: sized so even head terms of a
     # multi-million-doc slice stay cached in a serving actor (re-decoding a
@@ -881,10 +792,6 @@ class MergedIndexReader:
         return d, tf
 
     @property
-    def has_positions(self) -> bool:
-        return self.manifest.get("index_options") in ("positions", "offsets")
-
-    @property
     def has_offsets(self) -> bool:
         return self.manifest.get("index_options") == "offsets"
 
@@ -928,14 +835,6 @@ class MergedIndexReader:
         s, local = self._seg_of(docid)
         t = pq.read_table(self._docs_files[s], columns=[field])
         return t.column(field)[local].as_py()
-
-    def doc_values(self, field: str) -> np.ndarray:
-        """Stored column across all segments (concatenated, global order)."""
-        parts = [
-            pq.read_table(f, columns=[field]).column(field).to_numpy(zero_copy_only=False)
-            for f in self._docs_files
-        ]
-        return np.concatenate(parts)
 
     def positions(self, term: str):
         """(docids, tfs, flat_positions, occ_offsets) — see SegmentReader."""
@@ -987,13 +886,8 @@ class MergedRangeActor:
     IS docID order, so cross-actor results concatenate without re-sorting."""
 
     def __init__(self, out_dir: str, part_indices: list[int]):
-        r = MergedIndexReader(out_dir)
-        keep = sorted(part_indices)
-        r._parts = [r._parts[i] for i in keep]
-        r._part_paths = [r._part_paths[i] for i in keep]
-        r._tmin = [r._tmin[i] for i in keep]
-        r._tmax = [r._tmax[i] for i in keep]
-        self.reader = r
+        self.reader = MergedIndexReader(out_dir)
+        self.reader.parts = self.reader.parts.subset(part_indices)
 
     def postings_many(self, terms: list[str]) -> dict:
         return {t: self.reader.postings(t) for t in terms}
@@ -1011,36 +905,22 @@ class MergedRangeActor:
         return list(self.reader.iter_term_parts())
 
 
-class _ShardedMergedReader:
+class _ShardedMergedReader(_MergedDocs):
     """SegmentReader surface backed by a MergedRangeActor group: per-term
     lookups route to the covering actor(s) (lazy, cached); norms and stored
     docs come from the local per-segment files (shared storage). No `blocks`
     attribute, so the scorer's WAND path cleanly falls back to exhaustive."""
 
     def __init__(self, out_dir: str, actors: list, bounds: list[tuple[str, str]], manifest: dict):
+        super().__init__(out_dir, manifest)
         self._actors = actors
-        self._bounds = bounds
-        self.manifest = manifest
-        self.doc_base = 0
-        self.doc_count = manifest["max_doc"]
-        self.sum_ttf = manifest["sum_ttf"]
-        segs = manifest["segments"]
-        docs_dir = os.path.join(out_dir, "docs")
-        files = [os.path.join(docs_dir, f"seg{r['seg_id']:06d}.parquet") for r in segs]
-        counts = np.array([r["doc_count"] for r in segs], dtype=np.int64)
-        bases = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        self.norms = _LazyNorms(files, bases, counts)
-        self._docs_files = files
+        self._mins = [lo for lo, _ in bounds]  # ascending actor term ranges
+        self._maxs = [hi for _, hi in bounds]
         # bounded like MergedIndexReader's own caches; an evicted term is
         # fetched again on its next lookup
         self._post = FifoCache(MergedIndexReader._POSTINGS_CACHE_ELEMS, postings_elems)
         self._pos = FifoCache(MergedIndexReader._POSTINGS_CACHE_ELEMS, postings_elems)
         self._stats = FifoCache(MergedIndexReader._STATS_CACHE_TERMS)
-
-    def _covering(self, term: str) -> list[int]:
-        return [
-            i for i, (lo, hi) in enumerate(self._bounds) if lo <= term <= hi
-        ]
 
     # -- batched prefetch (one round trip per actor for a whole query) ------
     def prefetch(self, terms: list[str], *, positions: bool = False) -> None:
@@ -1056,7 +936,7 @@ class _ShardedMergedReader:
         absent from the result. Returns them and caches them."""
         per_actor: dict[int, list[str]] = {}
         for t in dict.fromkeys(terms):
-            for i in self._covering(t):
+            for i in covering(self._mins, self._maxs, t, t):
                 per_actor.setdefault(i, []).append(t)
         futs = []
         for i, ts in per_actor.items():
@@ -1110,10 +990,6 @@ class _ShardedMergedReader:
             hit = self._fetch([term])[1].get(term, (0, 0))
         return hit
 
-    @property
-    def has_positions(self) -> bool:
-        return self.manifest.get("index_options") in ("positions", "offsets")
-
     def positions(self, term: str):
         hit = self._pos.get(term)
         if hit is None and self.has_positions:
@@ -1126,29 +1002,19 @@ class _ShardedMergedReader:
     def terms_in_range(self, lo: str, hi: str) -> np.ndarray:
         futs = [
             self._actors[i].terms_in_range.remote(lo, hi)
-            for i, (alo, ahi) in enumerate(self._bounds)
-            if not (ahi < lo or alo > hi)
+            for i in covering(self._mins, self._maxs, lo, hi)
         ]
         parts = [p for p in ray.get(futs) if p.size]
         return np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=object)
 
     def iter_term_parts(self, part_filter=None):
-        for i, a in enumerate(self._actors):  # ascending term order across actors
-            if part_filter is not None:
-                alo, ahi = self._bounds[i]
-                # coarse actor-range veto; each actor's own parts are
-                # filtered again block-wise by the caller's walk
-                if not part_filter(alo, ahi):
-                    continue
-            for arr in ray.get(a.term_parts.remote()):
-                yield arr
-
-    def doc_values(self, field: str) -> np.ndarray:
-        parts = [
-            pq.read_table(f, columns=[field]).column(field).to_numpy(zero_copy_only=False)
-            for f in self._docs_files
-        ]
-        return np.concatenate(parts)
+        # ascending term order across actors
+        for a, alo, ahi in zip(self._actors, self._mins, self._maxs):
+            # coarse actor-range veto; each actor's own parts are filtered
+            # again block-wise by the caller's walk
+            if part_filter is not None and not part_filter(alo, ahi):
+                continue
+            yield from ray.get(a.term_parts.remote())
 
 
 class ShardedMergedSearcher(Searcher):
@@ -1160,19 +1026,12 @@ class ShardedMergedSearcher(Searcher):
 
     def __init__(self, out_dir: str, num_actors: int = 4):
         local = MergedIndexReader(out_dir)
-        order = sorted(range(len(local._parts)), key=lambda i: local._tmin[i])
-        n = max(1, min(num_actors, len(order)))
-        groups = [
-            order[g * len(order) // n : (g + 1) * len(order) // n] for g in range(n)
-        ]
+        entries = local.parts.entries  # ascending term ranges
+        n = max(1, min(num_actors, len(entries)))
+        groups = [range(g * len(entries) // n, (g + 1) * len(entries) // n) for g in range(n)]
         groups = [g for g in groups if g]
-        self._actors = [
-            MergedRangeActor.remote(out_dir, g) for g in groups
-        ]
-        bounds = [
-            (min(local._tmin[i] for i in g), max(local._tmax[i] for i in g))
-            for g in groups
-        ]
+        self._actors = [MergedRangeActor.remote(out_dir, list(g)) for g in groups]
+        bounds = [(entries[g[0]]["min"], entries[g[-1]]["max"]) for g in groups]
         self.reader = _ShardedMergedReader(out_dir, self._actors, bounds, local.manifest)
         field = local.manifest.get("content_column", "content")
         super().__init__(out_dir, use_actors=False, groups=[_SegmentGroup([self.reader], field)])

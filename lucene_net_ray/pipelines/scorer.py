@@ -330,8 +330,8 @@ def expand_multiterm(reader: SegmentReader, q: Query) -> list[tuple[str, float]]
         matched: dict[str, int] = {}
         # Levenshtein automaton (functions/lev_automaton.py — the
         # FuzzyTermsEnum/LevenshteinAutomata.cs walk): prunes whole merged
-        # parts via manifest [term_min, term_max] bounds WITHOUT reading
-        # them, then skips dead blocks inside each surviving chunk; only
+        # parts via manifest [min, max] bounds WITHOUT reading them, then
+        # skips dead blocks inside each surviving chunk; only
         # automaton-viable blocks pay the vectorized DP. Never slower than
         # the plain DP by more than one next_valid_string per block; at
         # 10^9-term vocab the walk touches O(neighborhood) parts, not all.

@@ -14,15 +14,14 @@ Reference:
   Spell/NGramDistance.cs — n-gram-cost edit distance with (n-1)-char
     null prefix and prefix-match discounting.
 
-The side index is a gram-sorted parquet store with a routing manifest (the
-round-4 suggester storage discipline): build = one Ray pass + sort; a
-lookup reads only the parts covering its ~dozen grams, never the
-vocabulary. Candidate scoring is a numpy bincount over gathered word ids.
+The side index is a sorted-parts store keyed on the gram
+(state/sorted_parts.py, shared with the suggesters): build = one Ray pass +
+sort; a lookup reads only the row groups covering its ~dozen grams, never
+the vocabulary.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import ray.data
 
@@ -139,7 +138,7 @@ class SpellChecker:
     """n-gram spell checker over a word dictionary Dataset (columns: word
     [, freq]) or a searcher's term dictionary (LuceneDictionary analog).
 
-    Store layout (``_SortedParquetStore`` discipline):
+    Store layout (the suggesters' one-store layout, suggest._write_store):
       parts/  (gram, kind, word, freq) sorted by gram; kind 0=middle,
               1=start (boost 2.0), 2=end (boost 1.0) — the reference's
               separate start/end fields become a kind column.
@@ -160,7 +159,7 @@ class SpellChecker:
         import os
         import tempfile
 
-        from .suggest import _SortedParquetStore
+        from .suggest import _open_store, _write_store
 
         self.accuracy = accuracy
         self.distance = STRING_DISTANCES[distance]
@@ -199,10 +198,8 @@ class SpellChecker:
                     }
                 )
 
-            _SortedParquetStore.build(
-                ds.map_batches(explode, batch_format="pyarrow"), store_dir, "gram"
-            )
-        self._store = _SortedParquetStore(store_dir, "gram")
+            _write_store(ds.map_batches(explode, batch_format="pyarrow"), store_dir, "gram")
+        self._store, _ = _open_store(store_dir, "gram")
 
     @classmethod
     def from_searcher(cls, searcher, **kw) -> "SpellChecker":
@@ -240,15 +237,13 @@ class SpellChecker:
             wanted[grams[0]][0] = True
             wanted[grams[-1]][1] = True
             for gram, (is_start, is_end, mult) in wanted.items():
-                tab = self._store.read_range(gram, gram)
+                tab = self._store.read(gram, gram, ["kind", "word", "freq"])
                 if tab is None:
                     continue
-                for g2, kind, w2, f2 in zip(
-                    tab.column("gram").to_pylist(), tab.column("kind").to_pylist(),
-                    tab.column("word").to_pylist(), tab.column("freq").to_pylist(),
+                for kind, w2, f2 in zip(
+                    tab.column("kind").to_pylist(), tab.column("word").to_pylist(),
+                    tab.column("freq").to_pylist(),
                 ):
-                    if g2 != gram:
-                        continue
                     if kind == 0:
                         add = 1.0 * mult
                     elif kind == 1 and is_start:

@@ -3,87 +3,57 @@
   AnalyzingSuggester analog  reference Suggest/Suggest/Analyzing/
       AnalyzingSuggester.cs:88 — completions are looked up by the ANALYZED
       form of the key but return the ORIGINAL surface form, ranked by weight.
-      The FST is replaced by a sorted Arrow table of (analyzed_key, weight,
-      surface, payload) built with one Ray aggregation; lookup is a binary-
-      search prefix range. Holding the table in RAM matches the reference
-      (suggesters are in-memory structures built offline).
+      The FST is replaced by (analyzed_key, surface, weight) rows built with
+      one Ray aggregation; lookup is one prefix-range read.
   WordBreakSpellChecker analog  reference Suggest/Spell/
       WordBreakSpellChecker.cs — suggestWordBreaks splits an out-of-
       vocabulary term into dictionary words; suggestWordCombinations joins
       adjacent query terms into one dictionary word. Both rank by the
       combined document frequency.
+
+Storage: every suggester (and spell.SpellChecker) lives on disk in the
+sorted-parts store of state/sorted_parts.py — key-sorted Parquet parts plus
+per-part [min, max] entries in the store's manifest.json — so a lookup reads
+only the parts covering its key range and the driver holds the manifest
+alone, never the vocabulary.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import json
+import os
+
 import pyarrow as pa
 import ray.data
 
 from ..functions.analysis import Analyzer
-
+from ..state.segment import atomic_write_json
+from ..state.sorted_parts import SortedParts, write_sorted_parts
 
 _RANGE_HI = "\U0010FFFF"
 
 
-class _SortedParquetStore:
-    """Key-sorted parquet parts + a [min,max] routing manifest — the storage
-    seam shared by every suggester (round 4: replaces the driver-resident
-    ``take_all`` arrays, which were corpus-vocab-sized at 100 TB). Lookups
-    binary-route through the manifest and read ONLY covering parts with a
-    parquet range predicate; ``parts_read`` lets tests assert laziness."""
+def _write_store(rows: ray.data.Dataset, store_dir: str, key: str, **extra) -> None:
+    """Commit ``rows`` at ``store_dir``: parts/ sorted by ``key``, then a
+    manifest.json listing them (plus ``extra`` fields)."""
+    entries = write_sorted_parts(rows.sort(key), os.path.join(store_dir, "parts"), key)
+    atomic_write_json(os.path.join(store_dir, "manifest.json"), {"parts": entries, **extra})
 
-    def __init__(self, store_dir: str, key_column: str):
-        import json
-        import os
 
-        self.dir = store_dir
-        self.key_column = key_column
-        self.parts_read = 0
-        with open(os.path.join(store_dir, "manifest.json")) as f:
-            self.manifest = json.load(f)
-
-    @staticmethod
-    def build(ds: ray.data.Dataset, store_dir: str, key_column: str, extra: dict | None = None):
-        import json
-        import os
-
-        parts_dir = os.path.join(store_dir, "parts")
-        os.makedirs(parts_dir, exist_ok=True)
-        ds.sort(key_column).write_parquet(parts_dir, row_group_size=512)
-        manifest = {"parts": _part_ranges(parts_dir, key_column), **(extra or {})}
-        tmp = os.path.join(store_dir, "manifest.json.tmp")
-        with open(tmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(tmp, os.path.join(store_dir, "manifest.json"))
-
-    def read_range(self, lo: str, hi: str) -> pa.Table:
-        import os
-
-        import pyarrow.parquet as _pq
-
-        tabs = []
-        for p in self.manifest["parts"]:
-            if p["max"] < lo or p["min"] > hi:
-                continue
-            self.parts_read += 1
-            tabs.append(
-                _pq.read_table(
-                    os.path.join(self.dir, "parts", p["file"]),
-                    filters=[(self.key_column, ">=", lo), (self.key_column, "<=", hi)],
-                )
-            )
-        if not tabs:
-            return None
-        return pa.concat_tables(tabs)
+def _open_store(store_dir: str, key: str) -> tuple[SortedParts, dict]:
+    """The committed store at ``store_dir`` and its manifest."""
+    with open(os.path.join(store_dir, "manifest.json")) as f:
+        manifest = json.load(f)
+    return SortedParts(os.path.join(store_dir, "parts"), manifest["parts"], key), manifest
 
 
 class AnalyzingSuggester:
     """AnalyzingSuggester analog: lookup by the ANALYZED form of the key,
     returning the ORIGINAL surface ranked by weight. The FST is replaced by
-    a key-sorted parquet store with range-routed lookups (the reference's
-    in-RAM FST is suggester-sized; at corpus scale the vocabulary is not,
-    so the store lives on disk and the driver holds only the manifest)."""
+    a sorted-parts store keyed on the analyzed form, with range-routed
+    lookups (the reference's in-RAM FST is suggester-sized; at corpus scale
+    the vocabulary is not, so the store lives on disk and the driver holds
+    only the manifest)."""
 
     def __init__(
         self,
@@ -94,7 +64,6 @@ class AnalyzingSuggester:
         weight_column: str = "weight",
         analyzer: Analyzer | None = None,
     ):
-        import os
         import tempfile
 
         analyzer = analyzer or Analyzer()
@@ -122,8 +91,8 @@ class AnalyzingSuggester:
                 .max("weight")
                 .rename_columns({"max(weight)": "weight"})
             )
-            _SortedParquetStore.build(rows, store_dir, "key")
-        self._store = _SortedParquetStore(store_dir, "key")
+            _write_store(rows, store_dir, "key")
+        self._store, _ = _open_store(store_dir, "key")
 
     @property
     def parts_read(self) -> int:
@@ -133,7 +102,7 @@ class AnalyzingSuggester:
         """Top-k (surface, weight) whose ANALYZED key starts with the
         analyzed prefix; ties by surface asc."""
         key = " ".join(self._analyzer(prefix))
-        tab = self._store.read_range(key, key + _RANGE_HI)
+        tab = self._store.read(key, key + _RANGE_HI)
         if tab is None:
             return []
         cands = [
@@ -192,7 +161,7 @@ class FuzzySuggester(AnalyzingSuggester):
         if len(key) < self.min_fuzzy_length:
             return super().lookup(prefix, k)
         head = key[: self.non_fuzzy_prefix]
-        tab = self._store.read_range(head, head + _RANGE_HI)
+        tab = self._store.read(head, head + _RANGE_HI)
         if tab is None:
             return []
         best: dict[str, int] = {}
@@ -216,8 +185,8 @@ class FreeTextSuggester:
 
     Build = ONE Ray aggregation: per-batch shingle Counters (the
     combiner-before-shuffle pattern) -> groupby(gram).sum. The finished model
-    (gram -> count per order) is suggester-sized and held in RAM, like the
-    reference's FST.
+    (gram -> count per order) is a sorted-parts store keyed on the gram, so a
+    lookup's backoff walk is a few routed range reads.
 
     lookup(context): the last (grams-1) analyzed tokens form the context;
     candidates seed from the LONGEST matching context suffix and back off to
@@ -237,7 +206,6 @@ class FreeTextSuggester:
         grams: int = 3,
         analyzer: Analyzer | None = None,
     ):
-        import os
         import tempfile
 
         analyzer = analyzer or Analyzer(stop_words=None)
@@ -282,11 +250,9 @@ class FreeTextSuggester:
                 .materialize()  # model-sized: reused by the write AND the uni sum
             )
             total_uni = rows.filter(lambda r: r["order"] == 1).sum("n") or 0
-            _SortedParquetStore.build(
-                rows, store_dir, "gram", extra={"total_uni": max(int(total_uni), 1)}
-            )
-        self._store = _SortedParquetStore(store_dir, "gram")
-        self._total_uni = self._store.manifest["total_uni"]
+            _write_store(rows, store_dir, "gram", total_uni=max(int(total_uni), 1))
+        self._store, manifest = _open_store(store_dir, "gram")
+        self._total_uni = manifest["total_uni"]
 
     @property
     def parts_read(self) -> int:
@@ -296,7 +262,7 @@ class FreeTextSuggester:
         """{gram: count} of length `order` starting with 'ctx_key ' + prefix*
         — one routed range read."""
         head = (ctx_key + " " + prefix) if ctx_key else prefix
-        tab = self._store.read_range(head, head + _RANGE_HI)
+        tab = self._store.read(head, head + _RANGE_HI)
         if tab is None:
             return {}
         return {
@@ -314,28 +280,16 @@ class FreeTextSuggester:
         (lm_quality_scores ships it via ray.put for batch inference). The
         model is aggregate-sized by construction; interactive lookups should
         use the routed reads instead."""
-        import os
-
-        import pyarrow.parquet as _pq
-
         out: dict[str, int] = {}
-        for p in self._store.manifest["parts"]:
-            t = _pq.read_table(
-                os.path.join(self._store.dir, "parts", p["file"]), columns=["gram", "n"]
-            )
+        for t in self._store.scan(["gram", "n"]):
             out.update(
                 zip(t.column("gram").to_pylist(), (int(v) for v in t.column("n").to_pylist()))
             )
         return out
 
     def _count_of(self, key: str) -> int:
-        tab = self._store.read_range(key, key)
-        if tab is None:
-            return 0
-        for g, n in zip(tab.column("gram").to_pylist(), tab.column("n").to_pylist()):
-            if g == key:
-                return int(n)
-        return 0
+        tab = self._store.read(key, key, ["n"])
+        return 0 if tab is None else int(tab.column("n")[0].as_py())
 
     def lookup(self, context: str, k: int = 5) -> list[tuple[str, float]]:
         """Top-k (next_token, score). Trailing whitespace means the last
@@ -382,23 +336,20 @@ class AnalyzingInfixSuggester:
     prefix (AnalyzingInfixSuggester.Highlight / AddPrefixMatch).
 
     Storage is the scale path the reference's side-Lucene-index plays: the
-    suggester lives on disk, not the driver —
-      store_dir/tokens/part-*.parquet  (token, pos, sid, weight) globally
-          sorted by token; per-part [token_min, token_max] in manifest.json
-      store_dir/suggestions/part-*.parquet  (sid, surface, weight[, payload])
-          sorted by sid; per-part [sid_min, sid_max] in the manifest
-    Lookup routes each query token through the parts manifest (the
-    terms_in_range discipline of pipelines/merge.py) and reads ONLY covering
-    parts with a parquet predicate — O(query tokens × one part), never
-    O(vocabulary); the driver holds the manifest alone. ``parts_read``
-    counts part-file reads so tests can assert routing stays lazy.
+    suggester lives on disk, not the driver, as two sorted-parts stores
+    (state/sorted_parts.py) whose entries share one manifest.json —
+      store_dir/tokens/       (token, pos, sid, weight) sorted by token
+      store_dir/suggestions/  (sid, surface, weight[, payload][, contexts])
+                              sorted by sid
+    A lookup reads each query token's range of ``tokens`` and each ranked
+    sid's row of ``suggestions`` — O(query tokens + k) row groups, never
+    O(vocabulary). ``parts_read`` counts part-file reads so tests can
+    assert routing stays lazy.
 
     The reference's ``textgrams`` EdgeNGram field exists to make short-
     prefix queries cheap in an FST; a sorted-parquet range scan is already
     one bounded read, so no ngram sidecar is needed.
     """
-
-    _HI = "\U0010FFFF"
 
     def __init__(
         self,
@@ -412,12 +363,8 @@ class AnalyzingInfixSuggester:
         contexts_column: str | None = None,
         analyzer: Analyzer | None = None,
     ):
-        import json
-        import os
-
         self.analyzer = analyzer or Analyzer()
         self.store_dir = store_dir
-        self.parts_read = 0
         man_path = os.path.join(store_dir, "manifest.json")
         if not os.path.exists(man_path):
             if ds is None:
@@ -428,19 +375,29 @@ class AnalyzingInfixSuggester:
             )
         with open(man_path) as f:
             self.manifest = json.load(f)
+        self._tokens = SortedParts(
+            os.path.join(store_dir, "tokens"), self.manifest["token_parts"], "token"
+        )
+        self._suggestions = SortedParts(
+            os.path.join(store_dir, "suggestions"), self.manifest["suggestion_parts"], "sid"
+        )
+
+    @property
+    def parts_read(self) -> int:
+        return self._tokens.parts_read + self._suggestions.parts_read
 
     def _build(
         self, ds, surface_column, weight_column, payload_column, id_column,
         contexts_column=None,
     ):
         import hashlib as _hashlib
-        import json
-        import os
 
         analyzer = self.analyzer
         has_payload = payload_column is not None
 
-        def explode(batch: pa.Table) -> pa.Table:
+        def suggestion_columns(batch: pa.Table) -> tuple[list, list, list | None, list[int]]:
+            """(surfaces, weights, payloads, sids); the sid is the id column,
+            else a 63-bit md5 of (surface, weight, payload)."""
             surfaces = batch.column(surface_column).to_pylist()
             weights = batch.column(weight_column).to_pylist()
             payloads = batch.column(payload_column).to_pylist() if has_payload else None
@@ -457,6 +414,10 @@ class AnalyzingInfixSuggester:
                     >> 1
                     for i, (s, w) in enumerate(zip(surfaces, weights))
                 ]
+            return surfaces, weights, payloads, sids
+
+        def explode(batch: pa.Table) -> pa.Table:
+            surfaces, weights, _, sids = suggestion_columns(batch)
             t_tok, t_pos, t_sid, t_w = [], [], [], []
             for i, s in enumerate(surfaces):
                 first: dict[str, int] = {}
@@ -478,22 +439,7 @@ class AnalyzingInfixSuggester:
             )
 
         def suggestion_rows(batch: pa.Table) -> pa.Table:
-            surfaces = batch.column(surface_column).to_pylist()
-            weights = batch.column(weight_column).to_pylist()
-            payloads = batch.column(payload_column).to_pylist() if has_payload else None
-            if id_column is not None:
-                sids = [int(v) for v in batch.column(id_column).to_pylist()]
-            else:
-                sids = [
-                    int.from_bytes(
-                        _hashlib.md5(
-                            f"{s}\x00{w}\x00{payloads[i] if has_payload else ''}".encode()
-                        ).digest()[:8],
-                        "big",
-                    )
-                    >> 1
-                    for i, (s, w) in enumerate(zip(surfaces, weights))
-                ]
+            surfaces, weights, payloads, sids = suggestion_columns(batch)
             cols = {
                 "sid": pa.array(sids, type=pa.int64()),
                 "surface": pa.array(surfaces, type=pa.string()),
@@ -511,78 +457,37 @@ class AnalyzingInfixSuggester:
 
         tok_dir = os.path.join(self.store_dir, "tokens")
         sug_dir = os.path.join(self.store_dir, "suggestions")
-        os.makedirs(tok_dir, exist_ok=True)
-        os.makedirs(sug_dir, exist_ok=True)
-        ds.map_batches(explode, batch_format="pyarrow").sort("token").write_parquet(
-            tok_dir, row_group_size=512
+        tokens = ds.map_batches(explode, batch_format="pyarrow").sort("token")
+        suggestions = ds.map_batches(suggestion_rows, batch_format="pyarrow").sort("sid")
+        atomic_write_json(
+            os.path.join(self.store_dir, "manifest.json"),
+            {
+                "token_parts": write_sorted_parts(tokens, tok_dir, "token"),
+                "suggestion_parts": write_sorted_parts(suggestions, sug_dir, "sid"),
+                "has_payload": has_payload,
+                "has_contexts": contexts_column is not None,
+            },
         )
-        ds.map_batches(suggestion_rows, batch_format="pyarrow").sort("sid").write_parquet(
-            sug_dir, row_group_size=512
-        )
-        manifest = {
-            "token_parts": _part_ranges(tok_dir, "token"),
-            "suggestion_parts": _part_ranges(sug_dir, "sid"),
-            "has_payload": has_payload,
-            "has_contexts": contexts_column is not None,
-        }
-        tmp = os.path.join(self.store_dir, "manifest.json.tmp")
-        with open(tmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(tmp, os.path.join(self.store_dir, "manifest.json"))
 
     # -- routed reads -------------------------------------------------------
 
-    def _covering(self, parts: list, lo, hi) -> list:
-        return [p for p in parts if not (p["max"] < lo or p["min"] > hi)]
-
-    def _read_tokens(self, lo: str, hi: str) -> pa.Table:
-        import os
-
-        import pyarrow.parquet as _pq
-
-        tabs = []
-        for p in self._covering(self.manifest["token_parts"], lo, hi):
-            self.parts_read += 1
-            tabs.append(
-                _pq.read_table(
-                    os.path.join(self.store_dir, "tokens", p["file"]),
-                    filters=[("token", ">=", lo), ("token", "<=", hi)],
-                )
-            )
-        if not tabs:
-            return pa.table(
-                {"token": pa.array([], type=pa.string()), "pos": pa.array([], type=pa.int64()),
-                 "sid": pa.array([], type=pa.int64()), "weight": pa.array([], type=pa.int64())}
-            )
-        return pa.concat_tables(tabs)
+    def _token_rows(self, lo: str, hi: str):
+        """(sid, weight, pos) of every token row with lo <= token <= hi."""
+        t = self._tokens.read(lo, hi, ["sid", "weight", "pos"])
+        if t is None:
+            return []
+        return zip(t.column("sid").to_pylist(), t.column("weight").to_pylist(),
+                   t.column("pos").to_pylist())
 
     def _fetch_suggestions(self, sids: list[int]) -> dict[int, tuple]:
-        import os
-
-        import pyarrow.parquet as _pq
-
+        """sid -> (surface, weight, payload, contexts), one point read each."""
         out: dict[int, tuple] = {}
-        if not sids:
-            return out
-        lo, hi = min(sids), max(sids)
-        want = set(sids)
-        for p in self._covering(self.manifest["suggestion_parts"], lo, hi):
-            self.parts_read += 1
-            t = _pq.read_table(
-                os.path.join(self.store_dir, "suggestions", p["file"]),
-                filters=[("sid", "in", sorted(want))],
-            )
-            pay = t.column("payload").to_pylist() if "payload" in t.column_names else [None] * t.num_rows
-            ctx = (
-                t.column("contexts").to_pylist()
-                if "contexts" in t.column_names
-                else [None] * t.num_rows
-            )
-            for sid, surf, w, pl, cx in zip(
-                t.column("sid").to_pylist(), t.column("surface").to_pylist(),
-                t.column("weight").to_pylist(), pay, ctx,
-            ):
-                out[sid] = (surf, w, pl, cx)
+        for sid in sorted(set(sids)):
+            t = self._suggestions.read(sid, sid)
+            if t is None:
+                continue
+            row = t.slice(t.num_rows - 1).to_pylist()[0]
+            out[sid] = (row["surface"], row["weight"], row.get("payload"), row.get("contexts"))
         return out
 
     # -- lookup -------------------------------------------------------------
@@ -600,18 +505,10 @@ class AnalyzingInfixSuggester:
         clauses = []  # each: dict sid -> (weight, pos)
         matched_tokens = set(exact)
         for t in dict.fromkeys(exact):
-            tab = self._read_tokens(t, t)
-            clauses.append(
-                dict(zip(tab.column("sid").to_pylist(),
-                         zip(tab.column("weight").to_pylist(), tab.column("pos").to_pylist())))
-            )
+            clauses.append({sid: (w, pos) for sid, w, pos in self._token_rows(t, t)})
         if prefix_token is not None:
-            tab = self._read_tokens(prefix_token, prefix_token + self._HI)
             best: dict[int, tuple] = {}
-            for sid, w, pos in zip(
-                tab.column("sid").to_pylist(), tab.column("weight").to_pylist(),
-                tab.column("pos").to_pylist(),
-            ):
+            for sid, w, pos in self._token_rows(prefix_token, prefix_token + _RANGE_HI):
                 cur = best.get(sid)
                 if cur is None or pos < cur[1]:
                     best[sid] = (w, pos)
@@ -727,32 +624,6 @@ class BlendedInfixSuggester(AnalyzingInfixSuggester):
             ((s, e[0] * self._coefficient(e[1])) for s, e in cands.items()),
             key=lambda x: (-x[1], x[0]),
         )
-
-
-def _part_ranges(parts_dir: str, column: str) -> list[dict]:
-    """Per-part [min, max] of a sorted column — exact first/last row reads,
-    the merge.py parts-manifest pattern (footer stats may be truncated)."""
-    import os
-
-    import pyarrow.parquet as _pq
-
-    out = []
-    for f in sorted(os.listdir(parts_dir)):
-        if not f.endswith(".parquet"):
-            continue
-        pf = _pq.ParquetFile(os.path.join(parts_dir, f))
-        nrows = pf.metadata.num_rows
-        if nrows == 0:
-            pf.close()
-            os.remove(os.path.join(parts_dir, f))
-            continue
-        lo = pf.read_row_group(0, columns=[column]).column(column)[0].as_py()
-        last = pf.read_row_group(pf.metadata.num_row_groups - 1, columns=[column])
-        hi = last.column(column)[-1].as_py()
-        pf.close()
-        out.append({"file": f, "min": lo, "max": hi, "rows": nrows})
-    out.sort(key=lambda p: (p["min"], p["max"]))
-    return out
 
 
 def suggest_word_breaks(

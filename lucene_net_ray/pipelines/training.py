@@ -41,6 +41,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..state.segment import atomic_write_json
+
 
 def _stage(out_dir: str, name: str, stage_dir: str, run, params_fp: str) -> dict:
     """Run one resumable stage: skip if its manifest is committed FOR THE
@@ -59,10 +61,7 @@ def _stage(out_dir: str, name: str, stage_dir: str, run, params_fp: str) -> dict
         shutil.rmtree(stage_dir)  # uncommitted partial output from a kill
     result = run() or {}
     result["params_fp"] = params_fp
-    tmp = manifest_path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(result, f)
-    os.replace(tmp, manifest_path)
+    atomic_write_json(manifest_path, result)
     return result
 
 
@@ -203,8 +202,5 @@ def prepare_training_shards(
         "out_dir": out_dir,
         "params_fp": params_fp,
     }
-    tmp = done_path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, done_path)
+    atomic_write_json(done_path, manifest)
     return manifest

@@ -100,8 +100,8 @@ def syns_table_from_prolog(path: str) -> pa.Table:
 
 class SynonymIndex:
     """Query-time synonym lookup + SynExpand. Word-cardinality-sized state;
-    for bigger tables route through a _SortedParquetStore-style layout like
-    the suggesters (pipelines/suggest.py)."""
+    for bigger tables route through the sorted-parts store of the
+    suggesters (state/sorted_parts.py)."""
 
     def __init__(self, table: pa.Table):
         words = table.column("word").to_pylist()

@@ -87,30 +87,18 @@ def check_index(index: IndexMeta | str) -> dict:
 
 
 def check_merged_index(out_dir: str) -> dict:
-    """CheckIndex for the merged (term-range-partitioned) layout: parts
-    manifest covers every part file with consistent sorted ranges; per term,
-    chunk df/ttf sums match the decoded postings, docIDs are globally
-    strictly increasing across chunks in (bucket, first_seg) order and
-    in-range; global df/ttf sums reconcile against the source manifest."""
-    import json
-
+    """CheckIndex for the merged (term-range-partitioned) layout: the
+    sorted-parts store's own check (manifest covers every part file with
+    exact, ascending term ranges); per term, chunk df/ttf sums match the
+    decoded postings, docIDs are globally strictly increasing across chunks
+    in (bucket, first_seg) order and in-range; global df/ttf sums reconcile
+    against the source manifest."""
     from ..functions import codec
     from ..pipelines.merge import MergedIndexReader
 
     r = MergedIndexReader(out_dir)
-    with open(os.path.join(out_dir, "manifest.json")) as f:
-        manifest = json.load(f)
-    parts_dir = os.path.join(out_dir, "parts")
-    on_disk = sorted(f for f in os.listdir(parts_dir) if f.endswith(".parquet"))
-    assert sorted(p["file"] for p in r._parts) == on_disk, "parts manifest != dir"
-    totals = {"parts": len(r._parts), "terms": 0, "postings": 0, "sum_ttf": 0}
-    seen_df_total = 0
-    for p, path in zip(r._parts, r._part_paths):
-        t = pq.read_table(path)
-        terms = t.column("term").to_pylist()
-        assert terms == sorted(terms), f"{p['file']}: rows not term-sorted"
-        assert terms[0] == p["term_min"] and terms[-1] == p["term_max"], f"{p['file']}: range"
-        assert t.num_rows == p["rows"], f"{p['file']}: row count"
+    r.parts.check()
+    totals = {"parts": len(r.parts.entries), "terms": 0, "postings": 0, "sum_ttf": 0}
     # per-term validation over the vocabulary (full walk, like CheckIndex)
     for term in r.terms.tolist():
         tbl = r._rows_for_term(term, r._BLOB_COLS)
@@ -127,7 +115,7 @@ def check_merged_index(out_dir: str) -> dict:
             if d.size:
                 assert (np.diff(d) > 0).all(), f"{term} chunk {i}: docs out of order"
                 assert d[0] > prev_last, f"{term}: chunks overlap in docid space"
-                assert d[-1] < manifest["max_doc"], f"{term}: docid out of range"
+                assert d[-1] < r.doc_count, f"{term}: docid out of range"
                 prev_last = int(d[-1])
             df_sum += d.size
             ttf_sum += int(tf.sum())
@@ -138,5 +126,5 @@ def check_merged_index(out_dir: str) -> dict:
         totals["terms"] += 1
         totals["postings"] += n_decoded
         totals["sum_ttf"] += tf_total
-    assert totals["sum_ttf"] == manifest["sum_ttf"], "merged sum_ttf mismatch"
+    assert totals["sum_ttf"] == r.sum_ttf, "merged sum_ttf mismatch"
     return totals

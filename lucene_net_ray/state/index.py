@@ -18,18 +18,15 @@ import json
 import os
 import shutil
 
+from .segment import atomic_write_json
+
 
 def write_index_manifest(out_dir: str, manifest: dict) -> None:
     """Commit ``manifest`` atomically, then delete the temp segment dirs it
     does not list (IndexFileDeleter analog): a crashed segment write leaves
     a ``segNNNNNN.tmp<pid>`` dir, and once a manifest is committed no task
     of that commit is still writing one."""
-    tmp = os.path.join(out_dir, "manifest.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, os.path.join(out_dir, "manifest.json"))
+    atomic_write_json(os.path.join(out_dir, "manifest.json"), manifest)
     seg_root = os.path.join(out_dir, "segments")
     if os.path.isdir(seg_root):
         listed = {f"seg{r['seg_id']:06d}" for r in manifest.get("segments", [])}

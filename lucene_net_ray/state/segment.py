@@ -108,7 +108,7 @@ def _ws_token_char_offsets(texts: list[str], ws_counts: np.ndarray):
     return tok_s, tok_e
 
 
-def _atomic_write_json(path: str, obj: dict) -> None:
+def atomic_write_json(path: str, obj: dict) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         json.dump(obj, f, indent=1, sort_keys=True)
@@ -133,7 +133,7 @@ def commit_segment_dir(tmp_dir: str, final_dir: str, meta: dict) -> None:
     dir that no reader opens (two-phase-commit analog of
     IndexWriter.Commit, reference IndexWriter.cs:3719-3777). A task that
     lost a race with a retry of itself drops its own copy."""
-    _atomic_write_json(os.path.join(tmp_dir, "meta.json"), meta)
+    atomic_write_json(os.path.join(tmp_dir, "meta.json"), meta)
     if os.path.exists(final_dir):
         shutil.rmtree(tmp_dir, ignore_errors=True)
     else:

@@ -114,5 +114,5 @@ def test_merged_fuzzy_uses_automaton_pruning(tmp_path):
     # veto skipped at least one part (the dict spans a..z prefixes while a
     # 1-edit neighborhood of "query" cannot cover them all)
     assert r._terms_cache is None
-    assert len(r._parts) > 2
-    assert r.files_read < len(r._parts)
+    assert len(r.parts.entries) > 2
+    assert r.parts.parts_read < len(r.parts.entries)

@@ -114,18 +114,18 @@ def test_merged_reader_is_lazy(setup):
     r = MergedIndexReader(merged_dir)
     assert r._terms_cache is None  # vocabulary not materialized on open
     assert not r.norms._cache and r.norms._flat is None  # no norms on open
-    assert r.files_read == 0
+    assert r.parts.parts_read == 0
     d, t = r.postings("public")
     assert d.size > 0
-    assert r.files_read <= len(r._parts)  # only covering parts touched
+    assert r.parts.parts_read <= len(r.parts.entries)  # only covering parts touched
     # norms load lazily when scoring first needs them (flat regime here:
     # 1 byte/doc, whole array ~ doc_count bytes)
     _ = r.norms[d[:5]]
     assert r.norms._flat is not None and r.norms._flat.size == r.doc_count
     # absent term resolves from the manifest / row-group stats alone
-    before = r.files_read
+    before = r.parts.parts_read
     assert r.term_stats("zzzz_not_a_term_zzzz") == (0, 0)
-    assert r.files_read - before <= 1
+    assert r.parts.parts_read - before <= 1
 
 
 def test_merged_multiterm_never_loads_full_vocab(setup):
@@ -236,6 +236,33 @@ def test_merge_resume_and_crash_safety(tmp_path):
     ms = MergedSearcher(out2)
     q = parse_query("public")
     assert ms.search(q, k=10) == s.search(q, k=10)
+
+
+def test_version2_merged_manifest_is_refused(setup, tmp_path):
+    """A merged dir of the older format (per-part term_min/term_max) is
+    refused on open and on a resuming merge_index, not misread."""
+    import json
+    import os
+    import shutil
+
+    from lucene_net_ray.pipelines.merge import MergedIndexReader
+
+    meta, merged_dir, _ = setup
+    old = str(tmp_path / "v2")
+    shutil.copytree(merged_dir, old)
+    with open(os.path.join(old, "manifest.json")) as f:
+        manifest = json.load(f)
+    manifest["version"] = 2
+    manifest["parts"] = [
+        {"file": p["file"], "term_min": p["min"], "term_max": p["max"], "rows": p["rows"]}
+        for p in manifest["parts"]
+    ]
+    with open(os.path.join(old, "manifest.json"), "w") as f:
+        json.dump(manifest, f)
+    with pytest.raises(ValueError, match="merge_index"):
+        MergedIndexReader(old)
+    with pytest.raises(ValueError, match="merge_index"):
+        merge_index(meta, old)
 
 
 def test_sharded_merged_searcher_equals_local(setup):

@@ -106,7 +106,7 @@ def test_spell_store_routes_not_scans(tmp_path):
     sc = SpellChecker(
         ray.data.from_arrow(tbl).repartition(8), store_dir=str(tmp_path / "sp")
     )
-    n_parts = len(sc._store.manifest["parts"])
+    n_parts = len(sc._store.entries)
     assert n_parts >= 4
     sc._store.parts_read = 0
     got = sc.suggest_similar("word1999x", 2)
