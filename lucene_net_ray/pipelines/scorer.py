@@ -130,6 +130,50 @@ def query_fields(q: Query) -> set[str]:
     return {leaf.field for leaf in query_leaves(q) if isinstance(leaf, FIELD_LEAVES)}
 
 
+def can_match(q, has):
+    """False only where ``q`` matches no doc of a shard whose term dict
+    answers ``has(field, term)`` (BooleanWeight's null scorer, Elasticsearch's
+    can_match). ``has`` may return one bool per shard as a numpy array; the
+    answer then is such an array too. It mirrors SegmentScorer._evaluate: a
+    term needs its term, a phrase every position filled, a boolean every
+    MUST and enough SHOULDs (MUST_NOT only removes docs), a DisMax any
+    disjunct; the filtering and boosting wrappers look at the query they
+    score. Multi-term leaves expand per segment and MatchAll matches
+    anything, so they and every other node count as a match."""
+    if isinstance(q, TermQuery):
+        return has(q.field, q.term)
+    if isinstance(q, (PhraseQuery, MultiPhraseQuery)):
+        slots = [(t,) for t in q.terms] if isinstance(q, PhraseQuery) else q.positions_terms
+        ok = bool(slots)
+        for terms in slots:
+            any_term = False
+            for t in terms:
+                any_term = any_term | has(q.field, t)
+            ok = ok & any_term
+        return ok
+    if isinstance(q, DisjunctionMaxQuery):
+        ok = False
+        for d in q.disjuncts:
+            ok = ok | can_match(d, has)
+        return ok
+    if isinstance(q, (ConstantScoreQuery, FilteredQuery, QueryFilter)):
+        return can_match(q.query, has)
+    if isinstance(q, BoostingQuery):
+        return can_match(q.match, has)
+    if isinstance(q, BooleanQuery):
+        musts = [can_match(c.query, has) for c in q.clauses if c.occur == "MUST"]
+        shoulds = [can_match(c.query, has) for c in q.clauses if c.occur == "SHOULD"]
+        msm = q.min_should_match
+        if msm > len(shoulds):
+            return False
+        ok = True
+        for m in musts:
+            ok = ok & m
+        need = msm if musts else max(1, msm)
+        return ok & (sum(shoulds) >= need) if need else ok
+    return True
+
+
 #: sorts above any real token (tokens are never runs of U+10FFFF)
 _TERM_CEILING = "\U0010FFFF" * 4
 

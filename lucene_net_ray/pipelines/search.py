@@ -30,6 +30,15 @@ a disjoint group of segments. Global df comes from a per-field term table
 the driver gathers once from the groups' term dicts, so a point query is one
 fan-out; merged layouts, whose readers keep no whole term dict, gather df
 from the shards per query instead.
+
+The table also records which groups hold each term, so search, count and
+scored_docs skip the groups where the rewritten query cannot match
+(``scorer.can_match``: a missing required term, or no optional term
+present) — BooleanWeight's null scorer and Elasticsearch's can_match phase,
+decided on the driver with no extra round trip. A query no group can match
+returns no hits without a fan-out; a skipped group would have returned
+none, so results are unchanged. ``Searcher.fanout`` counts the shards
+called and skipped. Layouts without a table reach every shard.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ import functools
 import heapq
 import os
 import time
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
@@ -47,7 +57,17 @@ import ray
 from ..query import BooleanClause, BooleanQuery, FuzzyQuery, Query, TermQuery
 from ..state.index import IndexMeta
 from ..state.segment import SegmentReader
-from .scorer import SegmentScorer, expand_multiterm, map_leaves, query_fields, query_terms, top_hits, top_k_order
+from .scorer import (
+    SegmentScorer,
+    can_match,
+    expand_multiterm,
+    map_leaves,
+    query_field_terms,
+    query_fields,
+    query_terms,
+    top_hits,
+    top_k_order,
+)
 
 
 def _sort_key_fn(sort_fields):
@@ -126,7 +146,7 @@ class _SegmentGroup:
         Arrow serializer, whose first use in a fresh actor took ~0.7 s (1 CPU)."""
         if not all(isinstance(r, SegmentReader) for r in self.readers):
             return None
-        t = _sum_df([pa.table({"term": r.term_column, "df": r.df_array.astype(np.int64)}) for r in self.readers])
+        t, _ = _sum_df([pa.table({"term": r.term_column, "df": r.df_array.astype(np.int64)}) for r in self.readers])
         sink = pa.BufferOutputStream()
         with pa.ipc.new_stream(sink, t.schema) as w:
             w.write_table(t)
@@ -203,8 +223,6 @@ class _SegmentGroup:
                 yield r, docs, scores
 
     def facet_partial(self, q: Query, stats: dict, field: str) -> dict:
-        from collections import Counter
-
         out: Counter = Counter()
         for r, docs, _s in self._matching(q, stats):
             out.update(Counter(r.doc_values(field)[docs].tolist()))
@@ -454,20 +472,36 @@ class _SegmentGroup:
         return out
 
 
-def _sum_df(tables: list[pa.Table]) -> pa.Table:
+def _sum_df(tables: list[pa.Table]) -> tuple[pa.Table, np.ndarray]:
     """(term, int64 df) tables, each sorted by term with unique terms -> one
-    such table, df summed (UTF-8 byte order, which is Python's str order).
-    A sort and a sum over each run of equal terms: on the bench index (1
-    CPU) it took half the time and memory of a hash group_by."""
+    such table, df summed (UTF-8 byte order, which is Python's str order),
+    and which tables hold each of its terms: a packed uint8 matrix
+    (np.packbits), one row per term and one bit per table. A sort and a sum
+    over each run of equal terms: on the bench index (1 CPU) it took half
+    the time and memory of a hash group_by."""
     if len(tables) == 1:
-        return tables[0]
-    t = pa.concat_tables(tables).sort_by("term")
+        return tables[0], np.packbits(np.ones((tables[0].num_rows, 1), dtype=bool), axis=1)
+    t = pa.concat_tables(tables)
+    order = pc.sort_indices(t, [("term", "ascending")])
+    t = t.take(order)
+    source = np.repeat(np.arange(len(tables)), [x.num_rows for x in tables])[order.to_numpy()]
     term = t.column("term").combine_chunks()
     first = np.ones(len(term), dtype=bool)  # first row of each term's run
     first[1:] = pc.not_equal(term[1:], term[:-1]).to_numpy(zero_copy_only=False)
     starts = np.flatnonzero(first)
     df = np.add.reduceat(t.column("df").to_numpy(), starts)
-    return pa.table({"term": term.take(starts), "df": df})
+    present = np.zeros((starts.size, len(tables)), dtype=bool)
+    present[np.cumsum(first) - 1, source] = True
+    return pa.table({"term": term.take(starts), "df": df}), np.packbits(present, axis=1)
+
+
+def _find(keys: np.ndarray, terms: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The row of each of ``terms`` in the sorted, non-empty ``keys``, and
+    whether the term is at that row. Searching all keys but the last keeps
+    every row in range."""
+    want = np.asarray(terms, dtype=object)
+    i = np.searchsorted(keys[:-1], want)
+    return i, keys[i] == want
 
 
 # Serving actors restart after a crash and retry the calls it cut off: every
@@ -611,10 +645,12 @@ def evaluate_query_dataset(
 class Searcher:
     """IndexSearcher analog and the one serving driver: it rewrites a query
     once against the whole index, gathers its statistics once, fans it out
-    to its shards and merges their top-k. A shard answers term_dfs /
-    term_stats / expand / top_k / top_k_many / count; it is a
-    ``_SegmentGroup`` over segments or a merged reader, a multi-field group,
-    or the actor handle of one. use_actors=False runs in-process (tests)."""
+    to the shards where it can match (all of them without a term table) and
+    merges their top-k. A shard answers term_dfs / term_stats / expand /
+    top_k / top_k_many / count; it is a ``_SegmentGroup`` over segments or a
+    merged reader, a multi-field group, or the actor handle of one.
+    ``fanout`` counts the shards each fan-out called and skipped.
+    use_actors=False runs in-process (tests)."""
 
     def __init__(
         self,
@@ -640,15 +676,20 @@ class Searcher:
             shard = SegmentGroupActor.remote if use_actors else _SegmentGroup
             groups = [shard(seg_dirs[i::n], self.field, deleted) for i in range(n)]
         self.groups = groups
+        self.fanout: Counter = Counter()
 
-    def _call(self, method: str, *args) -> list:
-        """One fan-out: ``method`` on every shard with ``args``, results in
-        shard order. The only place that tells an actor handle from an
-        in-process shard."""
+    def _call(self, method: str, *args, shards: list[int] | None = None) -> list:
+        """One fan-out: ``method`` with ``args`` on the shards at the
+        ``shards`` indexes (default: every shard), results in that order;
+        ``fanout`` counts the shards called and skipped. The only place that
+        tells an actor handle from an in-process shard."""
+        targets = self.groups if shards is None else [self.groups[i] for i in shards]
+        self.fanout["shards_called"] += len(targets)
+        self.fanout["shards_skipped"] += len(self.groups) - len(targets)
         if not self.use_actors:
-            return [getattr(g, method)(*args) for g in self.groups]
+            return [getattr(g, method)(*args) for g in targets]
         try:
-            return ray.get([getattr(g, method).remote(*args) for g in self.groups])
+            return ray.get([getattr(g, method).remote(*args) for g in targets])
         except ray.exceptions.RayTaskError as e:
             if isinstance(e.cause, TimeExceededError):
                 raise e.cause from None
@@ -706,20 +747,42 @@ class Searcher:
         return {"max_doc": self.index.max_doc, "sum_ttf": self.index.sum_ttf, "df": df}
 
     @functools.cached_property
-    def _df_table(self) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
+    def _df_table(self) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
         """The index's global term table, gathered with ONE term_dfs fan-out
         on first use: {field: (sorted terms as an object array, their int64
-        df)}, the same sums term_stats returns. None when a shard keeps no
-        table (merged readers). Driver memory is O(vocabulary), about the
-        term dicts of one group actor."""
+        df, presence)}, the df the same sums term_stats returns; presence is
+        _sum_df's packed bits, bit g set where shard g holds the term. None
+        when a shard keeps no table (merged readers). Driver memory is
+        O(vocabulary), about the term dicts of one group actor."""
         parts = self._call("term_dfs")
         if any(p is None for p in parts):
             return None
         table = {}
         for f in parts[0]:
-            t = _sum_df([pa.ipc.open_stream(p[f]).read_all() for p in parts])
-            table[f] = t.column("term").to_numpy(), t.column("df").to_numpy()
+            t, present = _sum_df([pa.ipc.open_stream(p[f]).read_all() for p in parts])
+            table[f] = t.column("term").to_numpy(), t.column("df").to_numpy(), present
         return table
+
+    def _can_match_shards(self, q: Query) -> list[int] | None:
+        """Indexes of the shards where ``q`` (rewritten) can match, by
+        can_match over the term table's presence bits; None (every shard)
+        when there is no table."""
+        if self._df_table is None:
+            return None
+        n = len(self.groups)
+        by_field: dict[str, list[str]] = {}
+        for f, t in query_field_terms(q):
+            by_field.setdefault(self._field(f), []).append(t)
+        held = {}
+        for f, terms in by_field.items():
+            keys, _dfs, present = self._df_table[f]
+            bits = np.zeros((len(terms), n), dtype=bool)
+            if keys.size:
+                i, hit = _find(keys, terms)
+                bits = np.unpackbits(present[i], axis=1, count=n).astype(bool) & hit[:, None]
+            held.update(zip(((f, t) for t in terms), bits))
+        ok = can_match(q, lambda f, t: held[(self._field(f), t)])
+        return np.flatnonzero(np.broadcast_to(ok, n)).tolist()
 
     def _term_stats(self, wanted: dict[str, list[str]]) -> dict[str, dict[str, tuple[int, int]]]:
         """Global {field: {term: (df, ttf)}} of the wanted (field, term)
@@ -738,17 +801,13 @@ class Searcher:
         field = self._field(field)
         if not terms:
             return {}
-        table = self._df_table
-        if table is None:
+        if self._df_table is None:
             return {t: d for t, (d, _tt) in self._term_stats({field: terms})[field].items()}
-        keys, dfs = table[field]
-        df = np.zeros(len(terms), dtype=np.int64)
-        if keys.size:
-            want = np.asarray(terms, dtype=object)
-            i = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-            hit = keys[i] == want
-            df[hit] = dfs[i[hit]]
-        return dict(zip(terms, df.tolist()))
+        keys, dfs, _present = self._df_table[field]
+        if not keys.size:
+            return dict.fromkeys(terms, 0)
+        i, hit = _find(keys, terms)
+        return dict(zip(terms, np.where(hit, dfs[i], 0).tolist()))
 
     def _stats_for_terms(self, terms: list[str], field: str | None = None) -> dict[str, int]:
         """_gather_df under the collectors' name (MLT/CommonTerms/suggest/highlight)."""
@@ -775,15 +834,16 @@ class Searcher:
                 "early_docs": early_terminate_docs,
                 "greedy": greedy,
             }
-        return merge_top_docs(self._call("top_k", q, stats, k, search_after, budget), k)
+        shards = self._can_match_shards(q)
+        return merge_top_docs(self._call("top_k", q, stats, k, search_after, budget, shards=shards), k)
 
     def count(self, q: Query) -> int:
         q, stats = self._rewrite_and_stats(q)
-        return sum(self._call("count", q, stats))
+        return sum(self._call("count", q, stats, shards=self._can_match_shards(q)))
 
     def scored_docs(self, q: Query) -> list[tuple[int, float]]:
         q, stats = self._rewrite_and_stats(q)
-        out = [h for hits in self._call("scored_docs", q, stats) for h in hits]
+        out = [h for hits in self._call("scored_docs", q, stats, shards=self._can_match_shards(q)) for h in hits]
         out.sort(key=lambda h: h[0])
         return out
 

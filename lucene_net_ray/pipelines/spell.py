@@ -157,13 +157,12 @@ class SpellChecker:
         distance: str = "levenstein",
     ):
         import os
-        import tempfile
 
-        from .suggest import _open_store, _write_store
+        from .suggest import _open_store, _store_dir, _write_store
 
         self.accuracy = accuracy
         self.distance = STRING_DISTANCES[distance]
-        store_dir = store_dir or tempfile.mkdtemp(prefix="lnr_spell_", dir="/tmp")
+        store_dir = _store_dir(self, store_dir, "lnr_spell_")
         if not os.path.exists(os.path.join(store_dir, "manifest.json")):
             if ds is None:
                 raise FileNotFoundError(f"no spell store at {store_dir} and no ds")

@@ -15,13 +15,17 @@ Storage: every suggester (and spell.SpellChecker) lives on disk in the
 sorted-parts store of state/sorted_parts.py — key-sorted Parquet parts plus
 per-part [min, max] entries in the store's manifest.json — so a lookup reads
 only the parts covering its key range and the driver holds the manifest
-alone, never the vocabulary.
+alone, never the vocabulary. Built without a ``store_dir``, the store is a
+temporary dir removed with the object that made it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
+import weakref
 
 import pyarrow as pa
 import ray.data
@@ -31,6 +35,17 @@ from ..state.segment import atomic_write_json
 from ..state.sorted_parts import SortedParts, write_sorted_parts
 
 _RANGE_HI = "\U0010FFFF"
+
+
+def _store_dir(owner, store_dir: str | None, prefix: str) -> str:
+    """``store_dir``, or else a new temporary dir that is removed when
+    ``owner`` is collected (or at interpreter exit); a caller's dir is left
+    alone."""
+    if store_dir:
+        return store_dir
+    d = tempfile.mkdtemp(prefix=prefix, dir="/tmp")
+    weakref.finalize(owner, shutil.rmtree, d, ignore_errors=True)
+    return d
 
 
 def _write_store(rows: ray.data.Dataset, store_dir: str, key: str, **extra) -> None:
@@ -64,11 +79,9 @@ class AnalyzingSuggester:
         weight_column: str = "weight",
         analyzer: Analyzer | None = None,
     ):
-        import tempfile
-
         analyzer = analyzer or Analyzer()
         self._analyzer = analyzer
-        store_dir = store_dir or tempfile.mkdtemp(prefix="lnr_suggest_", dir="/tmp")
+        store_dir = _store_dir(self, store_dir, "lnr_suggest_")
         if not os.path.exists(os.path.join(store_dir, "manifest.json")):
             if ds is None:
                 raise FileNotFoundError(f"no suggester store at {store_dir} and no ds")
@@ -206,12 +219,10 @@ class FreeTextSuggester:
         grams: int = 3,
         analyzer: Analyzer | None = None,
     ):
-        import tempfile
-
         analyzer = analyzer or Analyzer(stop_words=None)
         self.grams = grams
         self._analyzer = analyzer
-        store_dir = store_dir or tempfile.mkdtemp(prefix="lnr_freetext_", dir="/tmp")
+        store_dir = _store_dir(self, store_dir, "lnr_freetext_")
         if not os.path.exists(os.path.join(store_dir, "manifest.json")):
             if ds is None:
                 raise FileNotFoundError(f"no suggester store at {store_dir} and no ds")

@@ -6,17 +6,21 @@ one fan-out.
     every term, with several segments per group, and is 0 for absent terms
   * df counts deleted docs (Lucene's docFreq does until a merge), so a
     delete_by_query leaves it unchanged
-  * an actor-backed ``Searcher.search`` makes exactly one fan-out per query
-    after the first (the top_k call)
+  * an actor-backed ``Searcher.search`` makes at most one fan-out per query
+    after the first (the top_k call), and it reaches only the groups that
+    hold a term the query needs: a rare term reaches one group, a query of
+    absent terms none, and ``Searcher.fanout`` counts the groups skipped
   * ``QueryEvalStage`` over adopted group handles loads the table once, at
     construction, and its batches make no stats fan-out
   * results are identical on the in-process, actor, merged and range-sharded
     merged layouts (the last two keep no table and gather df per query)
-  * a group actor killed between two searches restarts and answers the same
+  * a group actor killed between two searches restarts and answers the same,
+    also when it is the one group a pruned query reaches
 """
 
 import random
 
+import numpy as np
 import pyarrow as pa
 import pytest
 import ray
@@ -24,6 +28,7 @@ import ray
 from lucene_net_ray.oracle import OracleIndex
 from lucene_net_ray.pipelines.build import build_index_from_table
 from lucene_net_ray.pipelines.merge import MergedSearcher, ShardedMergedSearcher, merge_index
+from lucene_net_ray.pipelines.scorer import query_terms
 from lucene_net_ray.pipelines.search import QueryEvalStage, Searcher
 from lucene_net_ray.query import TermQuery, parse_query
 from lucene_net_ray.state.deletes import delete_by_query
@@ -61,14 +66,18 @@ def index(tmp_path_factory):
     return meta, merged, OracleIndex(docs)
 
 
-def _count_calls(monkeypatch) -> dict:
-    """Count Searcher._call fan-outs by shard method, on every searcher."""
+def _count_calls(monkeypatch, reached: list | None = None) -> dict:
+    """Count Searcher._call fan-outs by shard method, on every searcher;
+    ``reached`` collects (method, indexes of the shards called) per call."""
     counts: dict[str, int] = {}
     real = Searcher._call
 
-    def counted(self, method, *args):
+    def counted(self, method, *args, **kwargs):
         counts[method] = counts.get(method, 0) + 1
-        return real(self, method, *args)
+        if reached is not None:
+            shards = kwargs.get("shards")
+            reached.append((method, list(range(len(self.groups))) if shards is None else shards))
+        return real(self, method, *args, **kwargs)
 
     monkeypatch.setattr(Searcher, "_call", counted)
     return counts
@@ -84,9 +93,14 @@ def test_table_df_equals_oracle(index, use_actors, num_actors):
         sizes = {len(g.readers) for g in s.groups}
         assert min(sizes) == 1 < max(sizes) if num_actors == 5 else min(sizes) >= 3
     assert list(s._df_table) == ["content"]  # one table per field
-    terms, dfs = s._df_table["content"]
+    terms, dfs, present = s._df_table["content"]
     assert terms.tolist() == oracle.vocab
     assert dfs.tolist() == [oracle.df[t] for t in oracle.vocab]
+    if not use_actors:  # bit g of a term's row: group g holds the term
+        held = np.unpackbits(present, axis=1, count=len(s.groups)).astype(bool)
+        for g, group in enumerate(s.groups):
+            vocab = {t for r in group.readers for t in r.term_column.to_pylist()}
+            assert held[:, g].tolist() == [t in vocab for t in oracle.vocab]
     probe = oracle.vocab + ABSENT
     assert s._stats_for_terms(probe) == {t: oracle.df.get(t, 0) for t in probe}
     assert s._stats_for_terms([]) == {}
@@ -106,18 +120,46 @@ def test_df_counts_deleted_docs(tmp_path):
     assert after._stats_for_terms(["alpha"]) == before._stats_for_terms(["alpha"]) == {"alpha": n_alpha}
 
 
+def _holds_a_term(group, q) -> bool:
+    """Whether an in-process group's segments hold a term of ``q``."""
+    terms = query_terms(q)
+    return any(t in terms for r in group.readers for t in r.term_column.to_pylist())
+
+
 def test_actor_search_is_one_fanout_per_query(index, monkeypatch):
     meta, _merged, _oracle = index
     want = Searcher(meta, num_actors=2, use_actors=False)
     s = Searcher(meta, num_actors=2)
     for searcher in (want, s):
         searcher.search(parse_query("alpha"), k=5)  # loads the table
-    counts = _count_calls(monkeypatch)
+    reached: list = []
+    counts = _count_calls(monkeypatch, reached)
     plain = [q for q in QUERIES if "~" not in q]  # a fuzzy leaf adds its expand fan-out
     for text in plain:
         q = parse_query(text)
+        reached.clear()
         assert s.search(q, k=10) == want.search(q, k=10), text
-    assert counts == {"top_k": 2 * len(plain)}  # both searchers: one top_k each, nothing else
+        # both searchers: at most one top_k fan-out each, nothing else
+        assert [m for m, _ in reached] == ["top_k", "top_k"], text
+        for _m, shards in reached:
+            if "*" not in text:  # a prefix expands per segment: every group
+                assert all(_holds_a_term(want.groups[g], q) for g in shards), text
+    assert counts == {"top_k": 2 * len(plain)}
+
+
+def test_rare_term_reaches_one_group_and_absent_terms_none(index):
+    meta, _merged, oracle = index
+    for s in (Searcher(meta, num_actors=2, use_actors=False), Searcher(meta, num_actors=2)):
+        s.search(parse_query("alpha"), k=5)  # loads the table
+        before = s.fanout.copy()
+        hits = s.search(parse_query("uniq7"), k=10)
+        assert [d for d, _ in hits] == [7] and oracle.df["uniq7"] == 1
+        assert s.fanout - before == {"shards_called": 1, "shards_skipped": 1}
+        for text in ("zyzzyva", "zyzzyva qqqq", "+alpha +zyzzyva", '"zyzzyva alpha"'):
+            before = s.fanout.copy()
+            assert s.search(parse_query(text), k=10) == [], text
+            assert s.count(parse_query(text)) == 0, text
+            assert s.fanout - before == {"shards_skipped": 4}, text  # two calls, no group reached
 
 
 def test_query_eval_stage_loads_table_once(index, monkeypatch):
@@ -164,6 +206,14 @@ def test_killed_group_actor_restarts(index):
     before = [s.search(q, k=10) for q in queries]
     ray.kill(s.groups[0], no_restart=False)
     assert [s.search(q, k=10) for q in queries] == before
+
+    rare = parse_query("uniq7")  # one doc: the query reaches one group
+    hits = s.search(rare, k=10)
+    (g,) = s._can_match_shards(rare)
+    ray.kill(s.groups[g], no_restart=False)
+    called = s.fanout["shards_called"]
+    assert s.search(rare, k=10) == hits != []
+    assert s.fanout["shards_called"] == called + 1
 
     sharded = ShardedMergedSearcher(merged, num_actors=2)
     before = [sharded.search(q, k=10) for q in queries]

@@ -15,7 +15,11 @@ expansions, DisMax and ConstantScore. Every tree must give the same top-k
     whose ``content`` field is the corpus and whose ``title`` field holds
     other text, so per-field stats must not mix
 
-and the same as ``oracle.OracleIndex``. The oracle has no fuzzy path, so a
+and the same as ``oracle.OracleIndex``. One more layout, over its own corpus
+and oracle, has two segment groups with disjoint vocabularies, so most
+queries skip a group (``can_match``); its in-process and actor searchers
+must still equal the oracle, and on every layout a group that ``can_match``
+rules out must return no hits and count 0. The oracle has no fuzzy path, so a
 fuzzy tree is first rewritten by the searcher (every fuzzy leaf, at any
 depth, becomes its index-wide term expansion) and the term-only tree goes to
 the oracle. A fuzzy leaf wrapped in a non-boolean node must score exactly as
@@ -245,3 +249,76 @@ def test_fuzzy_leaf_under_non_boolean_nodes(layouts, leaf):
             label = f"layout={name} wrapper={kind} leaf={leaf!r}"
             _same(s.search(q, k=K), bare, label)
             assert s.count(q) == s.count(leaf), label
+
+
+def _disjoint_corpus(seed: int = 11) -> list[str]:
+    """Four 60-doc blocks drawn alternately from the even and the odd
+    VOCAB words, so segments 0 and 2 (group 0 of two) share no term with
+    segments 1 and 3 (group 1); shared prefixes span both halves."""
+    rng = random.Random(seed)
+    halves = (VOCAB[0::2], VOCAB[1::2])
+    return [
+        " ".join(rng.choices(halves[block % 2], k=rng.randint(3, 14)))
+        for block in range(4)
+        for _ in range(60)
+    ]
+
+
+@pytest.fixture(scope="module")
+def disjoint(tmp_path_factory):
+    docs = _disjoint_corpus()
+    root = str(tmp_path_factory.mktemp("disjoint"))
+    meta = build_index_from_table(
+        pa.table({"content": docs}), root, target_rows_per_segment=60, index_options="positions"
+    )
+    assert len(meta.segment_dirs) == 4
+    searchers = {
+        "in_process": Searcher(root, num_actors=2, use_actors=False),
+        "actors": Searcher(root, num_actors=2),
+    }
+    _terms, _dfs, present = searchers["in_process"]._df_table["content"]
+    held = np.unpackbits(present, axis=1, count=2)
+    assert (held.sum(axis=1) == 1).all() and held[:, 0].any() and held[:, 1].any()
+    return docs, OracleIndex(docs), searchers
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_trees_match_oracle_on_disjoint_groups(disjoint, seed):
+    docs, oracle, searchers = disjoint
+    gen = _TreeGen(docs, seed=4000 + seed)
+    skipped = {name: s.fanout["shards_skipped"] for name, s in searchers.items()}
+    for i in range(30):
+        q = gen.tree()
+        want, want_count = oracle.top_k(q, K), oracle.count(q)
+        for name, s in searchers.items():
+            label = f"seed={seed} tree={i} layout={name} q={q!r}"
+            _same(s.search(q, k=K), want, label)
+            assert s.count(q) == want_count, label
+    for name, s in searchers.items():
+        assert s.fanout["shards_skipped"] > skipped[name], name
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_groups_ruled_out_hold_no_hits(layouts, disjoint, seed):
+    """Soundness of can_match over random trees, fuzzy leaves included
+    (after the rewrite): wherever it rules a group out, that group's own
+    top_k and count return nothing."""
+    docs, _, searchers = layouts
+    d_docs, _, d_searchers = disjoint
+    cases = [
+        (docs, searchers["searcher_multiseg"]),
+        (docs, searchers["multi_field"]),
+        (d_docs, d_searchers["in_process"]),
+    ]
+    ruled_out = 0
+    for tree_docs, s in cases:
+        gen = _TreeGen(tree_docs, seed=5000 + seed, fuzzy=True)
+        for i in range(30):
+            q, stats = s._rewrite_and_stats(gen.tree())
+            reach = s._can_match_shards(q)
+            for g, group in enumerate(s.groups):
+                if g not in reach:
+                    ruled_out += 1
+                    label = f"seed={seed} tree={i} group={g} q={q!r}"
+                    assert group.top_k(q, stats, K) == [] and group.count(q, stats) == 0, label
+    assert ruled_out >= 10

@@ -297,7 +297,9 @@ def test_search_is_one_fanout_per_query(mf, use_actors, monkeypatch):
     multi.search(TermQuery(field="title", term="alpha"), k=5)
     calls: list[str] = []
     real = Searcher._call
-    monkeypatch.setattr(Searcher, "_call", lambda self, method, *args: calls.append(method) or real(self, method, *args))
+    monkeypatch.setattr(
+        Searcher, "_call", lambda self, method, *args, **kw: calls.append(method) or real(self, method, *args, **kw)
+    )
     for text in ("title:alpha body:merge", "+title:beta +body:quickstart", 'body:"query parser"', "title:zyzzyva"):
         calls.clear()
         multi.search(parse_query(text), k=5)

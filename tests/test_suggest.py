@@ -1,6 +1,11 @@
 """AnalyzingSuggester + WordBreakSpellChecker analogs."""
 
+import gc
+import glob
+import os
+
 import pyarrow as pa
+import pytest
 import ray.data
 
 from lucene_net_ray.pipelines.build import build_index_from_table
@@ -349,3 +354,38 @@ def test_infix_crashed_build_does_not_poison_rebuild(tmp_path):
     )
     assert s.lookup("ghost", k=3) == []
     assert [r["surface"] for r in s.lookup("entry", k=3)] == ["good entry"]
+
+
+def _own_store_cases():
+    from lucene_net_ray.pipelines.spell import SpellChecker
+    from lucene_net_ray.pipelines.suggest import FreeTextSuggester, FuzzySuggester
+
+    sugg = [{"suggestion": "big fish", "weight": 7}, {"suggestion": "small fry", "weight": 3}]
+    return {
+        "analyzing": (AnalyzingSuggester, sugg, "lnr_suggest_"),
+        "fuzzy": (FuzzySuggester, sugg, "lnr_suggest_"),
+        "freetext": (FreeTextSuggester, [{"text": "foo bar baz"}, {"text": "foo bar"}], "lnr_freetext_"),
+        "spell": (SpellChecker, [{"word": "word"}, {"word": "world"}], "lnr_spell_"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["analyzing", "fuzzy", "freetext", "spell"])
+def test_own_store_is_removed_with_the_object(kind, tmp_path):
+    """A store made without ``store_dir`` is removed once its object is
+    collected; a caller's ``store_dir`` stays."""
+    cls, rows, prefix = _own_store_cases()[kind]
+    before = set(glob.glob(f"/tmp/{prefix}*"))
+    obj = cls(ray.data.from_items(rows))
+    made = set(glob.glob(f"/tmp/{prefix}*")) - before
+    assert len(made) == 1
+    (store,) = made
+    assert os.path.exists(os.path.join(store, "manifest.json"))
+    del obj
+    gc.collect()
+    assert not os.path.exists(store)
+
+    given = str(tmp_path / "store")
+    obj = cls(ray.data.from_items(rows), store_dir=given)
+    del obj
+    gc.collect()
+    assert os.path.exists(os.path.join(given, "manifest.json"))
