@@ -134,7 +134,8 @@ class _MultiFieldGroup:
         hits.sort(key=lambda h: (-h[1], h[0]))
         return hits[:k]
 
-    top_k_many = _SegmentGroup.top_k_many
+    def top_k_many(self, queries: list[Query], stats: dict, k: int) -> list[list[tuple[int, float]]]:
+        return [self.top_k(q, stats, k) for q in queries]
 
     def count(self, q, stats: dict) -> int:
         return sum(MultiFieldSegmentScorer(readers, stats).count(q) for readers in self.segments)

@@ -64,6 +64,19 @@ WAND_MIN_DF = 500_000       # single-term queries
 WAND_MIN_OR_DF = 10_000_000  # 2-term disjunctions (summed df)
 
 
+def auto_wand(tw: list[tuple[str, float]], reader, df: dict) -> bool:
+    """Whether auto mode scores a query of WAND's shape, whose [(term,
+    boost)] wand.is_wand_eligible returned as ``tw``, with block-max WAND on
+    ``reader``: only on a reader with block metadata, and by the global
+    ``df`` and the table above, single terms from WAND_MIN_DF, 2-term ORs
+    from WAND_MIN_OR_DF summed df, larger disjunctions never (one
+    vectorized pass wins)."""
+    if not hasattr(reader, "blocks"):
+        return False
+    sum_df = sum(df.get(t, 0) for t, _ in tw)
+    return (len(tw) == 1 and sum_df >= WAND_MIN_DF) or (len(tw) == 2 and sum_df >= WAND_MIN_OR_DF)
+
+
 #: leaves that name an index field (term-bearing or multi-term)
 FIELD_LEAVES = (TermQuery, PhraseQuery, MultiPhraseQuery, PrefixQuery, TermRangeQuery, WildcardQuery, FuzzyQuery, RegexpQuery)
 #: nodes with query children (everything else is a leaf to map_leaves)
@@ -1045,14 +1058,7 @@ class SegmentScorer:
 
             tw = is_wand_eligible(q) if hasattr(self.reader, "blocks") else None
             if tw is not None:
-                # cost-based choice per the measured table above: single
-                # terms from 500k df, 2-term ORs from 10M summed df, larger
-                # disjunctions always exhaustive (one vectorized pass wins)
-                sum_df = sum(self.stats["df"].get(t, 0) for t, _ in tw)
-                use = (len(tw) == 1 and sum_df >= WAND_MIN_DF) or (
-                    len(tw) == 2 and sum_df >= WAND_MIN_OR_DF
-                )
-                if mode == "wand" or use:
+                if mode == "wand" or auto_wand(tw, self.reader, self.stats["df"]):
                     weights = [(t, self.sim.weight((t,), boost)) for t, boost in tw]
                     hits = wand_top_k(self.reader, weights, self.sim, k, search_after)
                     return [(d + self.reader.doc_base, s) for d, s in hits]
@@ -1064,3 +1070,118 @@ class SegmentScorer:
     def count(self, q: Query) -> int:
         docs, _ = self.evaluate(q)
         return int(docs.size)
+
+
+#: the most (query, docid) cells one batch table holds (8 MB of float64): a
+#: 32-query batch shares one table over segments of up to 32 768 docs, and a
+#: 1M-doc segment gets a table per query, the per-query dense path
+_BATCH_CELLS = 1 << 20
+
+
+def top_k_batch(reader, stats: dict, queries: list, k: int, dels: np.ndarray) -> list[list[tuple[int, float]]]:
+    """``SegmentScorer(reader, stats).top_k(q, k, exclude_local=dels)`` for
+    each of ``queries``, bit for bit, with the batch's term work shared:
+    the batch has one ``stats``, so each distinct (term, boost) is decoded
+    and scored once for every query that names it.
+
+    A bare TermQuery, or a flat SHOULD disjunction of them (the shape WAND
+    takes), that auto mode keeps off WAND sums those shared scores; every
+    other query runs top_k. The sums are _disjunction_sum's: the same
+    float64 adds in clause order, a clause scoring 0 still a match. Queries
+    with at least one posting per _DENSE_SLOTS_PER_POSTING docs of the
+    reader share one (queries x doc_count) table, BooleanScorer's bucket
+    table for a whole batch, cut into sub-batches of at most _BATCH_CELLS
+    cells; the others take the sparse union."""
+    from .wand import is_wand_eligible
+
+    scorer = SegmentScorer(reader, stats)
+    n = reader.doc_count
+    out: list = [[] for _ in queries]
+    # term scores by (term, repr(boost)): a -0.0 boost does not score as 0.0
+    scored: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+    dense = []  # (query position, clauses, bare term)
+    for i, q in enumerate(queries):
+        tw = is_wand_eligible(q)
+        if tw is None or (not dels.size and auto_wand(tw, reader, stats["df"])):
+            out[i] = scorer.top_k(q, k, exclude_local=dels)
+            continue
+        clauses = []
+        for t, b in tw:
+            key = (t, repr(b))
+            if key not in scored:
+                scored[key] = scorer.score_term(TermQuery(term=t, boost=b))
+            if scored[key][0].size:
+                clauses.append(scored[key])
+        if not clauses:
+            continue
+        bare = isinstance(q, TermQuery)
+        if sum(d.size for d, _ in clauses) * _DENSE_SLOTS_PER_POSTING >= n:
+            dense.append((i, clauses, bare))
+            continue
+        if bare:
+            docs, scores = clauses[0]
+        else:
+            docs, acc, _cnt = _disjunction_sum(clauses)
+            scores = acc.astype(np.float32)
+        if dels.size:
+            keep = ~np.isin(docs, dels, assume_unique=True)
+            docs, scores = docs[keep], scores[keep]
+        out[i] = top_hits(docs, scores, k, None, reader.doc_base)
+    # blocks of up to _TABLE_BLOCK docids, at least 8k of them per row
+    block = min(_TABLE_BLOCK, max(1, n // (8 * max(k, 1))))
+    width = -(-n // block) * block
+    rows = max(1, _BATCH_CELLS // max(width, 1))
+    for lo in range(0, len(dense), rows):
+        part = dense[lo : lo + rows]
+        acc = np.zeros((len(part), width), dtype=np.float64)
+        hit = np.zeros((len(part), width), dtype=bool)
+        for row, (_i, clauses, bare) in enumerate(part):
+            a, h = acc[row], hit[row]
+            for d, s in clauses:
+                if bare:  # the term's own float32 scores, -0.0 included
+                    a[d] = s
+                else:
+                    a[d] += s
+                h[d] = True
+        if dels.size:
+            acc[:, dels] = 0.0
+            hit[:, dels] = False
+        for (i, _c, _b), hits in zip(part, _table_top_k(acc, hit, k, block, reader.doc_base)):
+            out[i] = hits
+    return out
+
+
+#: _table_top_k bounds each row's k-th best by the k-th best of the minimums
+#: of blocks of this many docids
+_TABLE_BLOCK = 64
+
+
+def _table_top_k(acc: np.ndarray, hit: np.ndarray, k: int, block: int, doc_base: int) -> list[list[tuple[int, float]]]:
+    """top_hits of each row of a batch table: the docids where ``hit``,
+    scored float32(``acc``), best ``k`` by (score desc, docid asc), exactly
+    as top_k_order ranks them (NaN last). ``acc`` is 0 wherever ``hit`` is
+    not, and its width is a multiple of ``block``.
+
+    Rank keys are the negated scores, so 0 where a row has no hit. Per row,
+    one np.partition over the minimum key of each ``block`` docids finds a
+    bound on the k-th best key; when the bound is below 0, only hits reach
+    it and every hit at or under it is a candidate, else all the row's hits
+    are. One lexsort of the candidates by (row, key, docid) ranks them."""
+    scores = acc.astype(np.float32)
+    key = np.negative(scores)
+    cand = hit
+    r, width = key.shape
+    if 0 < k < width // block:
+        mins = key.reshape(r, width // block, block).min(axis=2)
+        bound = np.partition(mins, k - 1, axis=1)[:, k - 1 : k]
+        cand = np.where(bound < 0, key <= bound, hit)
+    flat = np.flatnonzero(cand)
+    rows, docs = flat // width, flat % width
+    order = np.lexsort((docs, key.ravel()[flat], rows))
+    rows, docs = rows[order], docs[order]
+    starts = np.searchsorted(rows, np.arange(r + 1))
+    out = []
+    for i in range(r):
+        d = docs[starts[i] : min(starts[i] + k, starts[i + 1])]
+        out.append(list(zip((d + doc_base).tolist(), scores[i, d].tolist())))
+    return out

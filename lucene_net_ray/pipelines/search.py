@@ -23,7 +23,10 @@ term_stats({field: [terms]}) -> {field: {term: (df, ttf)}}, and term_dfs()
               field (pipelines/multifield.py)
 The driver broadcasts (query, global stats, k), shards return top-k, the
 driver heap-merges. For batch evaluation of a query SET, `batch_search`
-amortizes one round-trip over many queries.
+amortizes one round-trip over many queries and one stats pass over their
+terms; each group then scores the batch at once per reader
+(``scorer.top_k_batch``: every distinct term scored once, the flat ORs
+summed in one shared bucket table), with the hits of one query at a time.
 
 At cluster scale the actor pool is sized to nodes x cores and each actor owns
 a disjoint group of segments. Global df comes from a per-field term table
@@ -66,6 +69,7 @@ from .scorer import (
     query_fields,
     query_terms,
     top_hits,
+    top_k_batch,
     top_k_order,
 )
 
@@ -203,10 +207,20 @@ class _SegmentGroup:
             docs, scores = docs[keep], scores[keep]
         return top_hits(docs[:early_docs], scores[:early_docs], k, search_after, r.doc_base)
 
-    def top_k_many(self, items: list[tuple[Query, dict]], k: int) -> list[list[tuple[int, float]]]:
-        """Evaluate many (query, stats) pairs in ONE actor round-trip — the
-        bulk-serving path's amortization of per-call overhead."""
-        return [self.top_k(q, stats, k) for q, stats in items]
+    def top_k_many(self, queries: list[Query], stats: dict, k: int) -> list[list[tuple[int, float]]]:
+        """top_k of many queries under one stats dict in ONE actor
+        round-trip — the bulk-serving path's amortization of per-call
+        overhead. Each reader scores them as one batch (scorer.top_k_batch:
+        each distinct term scored once, one bucket table for the dense
+        queries); the per-reader hits of each query merge as in top_k, so
+        the results are top_k's."""
+        merged: list[list[tuple[int, float]]] = [[] for _ in queries]
+        for r, dels in zip(self.readers, self.deleted_local):
+            for hits, seg_hits in zip(merged, top_k_batch(r, stats, queries, k, dels)):
+                hits.extend(seg_hits)
+        for hits in merged:
+            hits.sort(key=lambda h: (-h[1], h[0]))
+        return [hits[:k] for hits in merged]
 
     def count(self, q: Query, stats: dict) -> int:
         return sum(int(docs.size) for _r, docs, _s in self._matching(q, stats))
@@ -538,7 +552,9 @@ class QueryEvalStage:
     per-query Searcher's group topology for the bulk path, replacing the
     round-1 design that replicated the FULL index into every stage actor.
     Global df comes from each searcher's term table, loaded here, at
-    dispatcher start-up, so no batch pays for it.
+    dispatcher start-up, so no batch pays for it. A batch is one
+    ``batch_search``: one stats dict for all its queries, and each group
+    scores them together per segment (``_SegmentGroup.top_k_many``).
     """
 
     def __init__(
@@ -706,10 +722,14 @@ class Searcher:
         return sorted(seen.items())
 
     def _rewrite_and_stats(self, q: Query) -> tuple[Query, dict]:
-        """Searcher-level TopTermsRewrite, then the stats pass: every
-        FuzzyQuery leaf, at any depth, becomes a SHOULD BooleanQuery of its
-        best index-wide expansions, so every shard scores one term set with
-        real df."""
+        """The rewritten query and its stats pass."""
+        q = self._rewrite(q)
+        return q, self._query_stats(q)
+
+    def _rewrite(self, q: Query) -> Query:
+        """Searcher-level TopTermsRewrite: every FuzzyQuery leaf, at any
+        depth, becomes a SHOULD BooleanQuery of its best index-wide
+        expansions, so every shard scores one term set with real df."""
 
         def fuzzy(node: Query) -> Query:
             if not isinstance(node, FuzzyQuery):
@@ -723,8 +743,7 @@ class Searcher:
                 ),
             )
 
-        q = map_leaves(q, fuzzy)
-        return q, self._query_stats(q)
+        return map_leaves(q, fuzzy)
 
     def _field(self, field: str | None) -> str:
         """The index field a stats request names. On a single-field index,
@@ -849,9 +868,13 @@ class Searcher:
 
     def batch_search(self, queries: list[tuple[str, Query]], k: int = 10) -> dict[str, list[tuple[int, float]]]:
         """Evaluate many queries with ONE top_k_many round-trip per group
-        (amortizes actor-call overhead over the whole batch)."""
-        items = [self._rewrite_and_stats(q) for _name, q in queries]
-        per_group = self._call("top_k_many", items, k)
+        (amortizes actor-call overhead over the whole batch). The batch
+        shares one stats dict, gathered once for the union of its terms:
+        each reader looks df up by term, so extra terms change no score, and
+        the groups score each distinct term once per batch."""
+        qs = [self._rewrite(q) for _name, q in queries]
+        stats = self._query_stats(BooleanQuery(clauses=tuple(BooleanClause(q, "SHOULD") for q in qs)))
+        per_group = self._call("top_k_many", qs, stats, k)
         return {
             name: merge_top_docs([pg[i] for pg in per_group], k)
             for i, (name, _q) in enumerate(queries)

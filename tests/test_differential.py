@@ -24,6 +24,10 @@ fuzzy tree is first rewritten by the searcher (every fuzzy leaf, at any
 depth, becomes its index-wide term expansion) and the term-only tree goes to
 the oracle. A fuzzy leaf wrapped in a non-boolean node must score exactly as
 the bare leaf does.
+
+``batch_search`` scores a whole batch at once per reader, so on every
+layout, and on one more with tombstones, a seeded batch of flat ORs and
+ineligible shapes must give each query exactly ``search``'s hits.
 """
 
 import random
@@ -53,6 +57,7 @@ from lucene_net_ray.query import (
     TermQuery,
     WildcardQuery,
 )
+from lucene_net_ray.state.deletes import write_deletes
 
 # shared prefixes so prefix/wildcard/fuzzy leaves expand to several terms;
 # no English stopwords, so analyzed tokens are exactly these words
@@ -322,3 +327,100 @@ def test_groups_ruled_out_hold_no_hits(layouts, disjoint, seed):
                     label = f"seed={seed} tree={i} group={g} q={q!r}"
                     assert group.top_k(q, stats, K) == [] and group.count(q, stats) == 0, label
     assert ruled_out >= 10
+
+
+@pytest.fixture(scope="module")
+def tombstoned(tmp_path_factory):
+    """The layouts' corpus over 4 segments with every 7th doc deleted, in
+    process and on 2 group actors."""
+    root = str(tmp_path_factory.mktemp("tombstoned"))
+    build_index_from_table(pa.table({"content": _corpus()}), root, target_rows_per_segment=60, index_options="positions")
+    write_deletes(root, list(range(3, N_DOCS, 7)))
+    return {"tombstoned_in_process": Searcher(root, num_actors=2, use_actors=False), "tombstoned_actors": Searcher(root, num_actors=2)}
+
+
+def _or(*leaves, msm=0, boost=1.0):
+    return BooleanQuery(clauses=tuple(BooleanClause(x, "SHOULD") for x in leaves), min_should_match=msm, boost=boost)
+
+
+def _bulk_batch(docs: list[str], seed: int) -> list[tuple[str, object]]:
+    """A seeded batch for batch_search: flat ORs of terms (some repeated,
+    some boosted, some absent from the index) and bare terms, which the
+    batch kernel scores, mixed with shapes it hands to top_k."""
+    rng = random.Random(seed)
+    words = VOCAB + ["zyzzyva", "qwxz"]
+
+    def term(absent=False):
+        word = rng.choice(["zyzzyva", "qwxz"] if absent else words)
+        return TermQuery(term=word, boost=rng.choice((1.0, 1.0, 2.5, 0.5)))
+
+    fixed = [
+        TermQuery(term="alpha"),
+        TermQuery(term="zyzzyva"),  # absent: no hits
+        _or(TermQuery(term="bravo"), TermQuery(term="alpha"), TermQuery(term="bravo")),  # repeated term
+        _or(TermQuery(term="lima", boost=2.5), TermQuery(term="oscar", boost=0.5), TermQuery(term="lima")),
+        _or(term(absent=True), term(absent=True)),  # no term present
+        _or(TermQuery(term="alpha"), term(absent=True), msm=1),
+        _or(TermQuery(term="romeo"), TermQuery(term="sierra")),  # rare terms: fewer than k hits
+        TermQuery(term="bravo", boost=0.0),  # scores 0 and still matches
+        TermQuery(term="bravo", boost=-0.0),  # scores -0.0, not 0.0's
+        TermQuery(term="alpha", boost=-1.0),  # every score below an unmatched doc's 0
+        _or(TermQuery(term="alpha", boost=-1.0), TermQuery(term="bravo")),  # some scores below 0
+        # shapes the kernel does not take
+        BooleanQuery(clauses=(BooleanClause(TermQuery(term="alpha"), "MUST"), BooleanClause(TermQuery(term="bravo"), "SHOULD"))),
+        BooleanQuery(clauses=(BooleanClause(TermQuery(term="alpha"), "SHOULD"), BooleanClause(TermQuery(term="bravo"), "MUST_NOT"))),
+        _or(TermQuery(term="alpha"), TermQuery(term="bravo"), TermQuery(term="charlie"), msm=2),
+        _or(TermQuery(term="alpha"), TermQuery(term="bravo"), boost=2.0),
+        PhraseQuery(terms=tuple(docs[0].split()[:2])),
+    ]
+    gen = _TreeGen(docs, seed=seed)
+    drawn = []
+    for _ in range(28):
+        kind = rng.random()
+        if kind < 0.6:
+            drawn.append(_or(*(term(absent=rng.random() < 0.1) for _ in range(rng.randint(1, 5)))))
+        elif kind < 0.8:
+            drawn.append(term())
+        else:
+            drawn.append(gen.tree(depth=2))
+    batch = fixed + drawn
+    rng.shuffle(batch)
+    return [(f"q{i}", q) for i, q in enumerate(batch)]
+
+
+def _bulk_layouts(layouts, disjoint, tombstoned):
+    """(corpus, name, searcher) of every layout."""
+    out = [(layouts[0], name, s) for name, s in layouts[2].items()]
+    out += [(disjoint[0], f"disjoint_{name}", s) for name, s in disjoint[2].items()]
+    return out + [(layouts[0], name, s) for name, s in tombstoned.items()]
+
+
+def _batch_equals_search(docs, name, s, seed):
+    batch = _bulk_batch(docs, seed)
+    for k in (1, K, 1000):  # 1000: more than any query matches
+        got = s.batch_search(batch, k=k)
+        for qname, q in batch:
+            want = [(d, repr(x)) for d, x in s.search(q, k=k)]
+            assert [(d, repr(x)) for d, x in got[qname]] == want, f"layout={name} k={k} q={q!r}"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batch_search_equals_search_on_every_layout(layouts, disjoint, tombstoned, seed):
+    """batch_search scores a batch at once per reader (shared term scores,
+    one bucket table, one stats dict), yet every query's hits are exactly
+    search's: the same docs in the same order and the same float32 scores,
+    compared by repr."""
+    for docs, name, s in _bulk_layouts(layouts, disjoint, tombstoned):
+        _batch_equals_search(docs, name, s, 6000 + seed)
+
+
+def test_batch_search_one_row_per_table(layouts, disjoint, tombstoned, monkeypatch):
+    """A cell budget of one row per table (the per-query dense path that a
+    very large segment takes) gives the same hits. Only the in-process
+    layouts see the patched budget."""
+    from lucene_net_ray.pipelines import scorer
+
+    monkeypatch.setattr(scorer, "_BATCH_CELLS", 1)
+    for docs, name, s in _bulk_layouts(layouts, disjoint, tombstoned):
+        if not s.use_actors:
+            _batch_equals_search(docs, name, s, 6100)

@@ -304,3 +304,20 @@ def test_search_is_one_fanout_per_query(mf, use_actors, monkeypatch):
         calls.clear()
         multi.search(parse_query(text), k=5)
         assert calls == ["top_k"], text
+
+
+@pytest.mark.parametrize("use_actors", [False, True], ids=["in_process", "actors"])
+def test_batch_search_equals_search(mf, use_actors):
+    """MultiFieldSearcher.batch_search (one top_k_many per group, one stats
+    dict for the batch's fields and terms) gives each query exactly its
+    per-query search hits, mixed-field, fuzzy and absent terms included."""
+    from lucene_net_ray.query import FuzzyQuery
+
+    multi, _ = _field_searchers(mf[3], use_actors)
+    texts = ["title:alpha", "title:alpha body:merge", "+title:beta +body:quickstart", 'body:"query parser"',
+             "title:zyzzyva", "body:alpha body:alpha title:release^2", "title:gamma body:builds"]
+    batch = [(t, parse_query(t)) for t in texts] + [("fuzzy", FuzzyQuery(field="title", term="alpho", max_edits=1))]
+    for k in (1, 3, 10):
+        got = multi.batch_search(batch, k=k)
+        for name, q in batch:
+            assert [(d, repr(x)) for d, x in got[name]] == [(d, repr(x)) for d, x in multi.search(q, k=k)], (name, k)

@@ -4,9 +4,11 @@ Builds perfbench's corpus for ``--seed`` (perfbench/gen.py, the benchmark's
 own corpus parameters), indexes it with ``build_index`` into 2-segment
 shards as the benchmark does, then times ``Searcher(use_actors=False)
 .batch_search`` over the serve_bulk queries in batches of 32. Prints the
-best-of-``--reps`` wall time and an md5 of every (query, doc, score) result,
-so a scorer change can be A/B-timed and checked for identical results
-without a full benchmark run. Run from the root of a checkout:
+best-of-``--reps`` wall time, the ms per batch and an md5 of every (query,
+doc, score) result, so a scorer change can be A/B-timed and checked for
+identical results without a full benchmark run. The same md5 over
+per-query ``Searcher.search`` must match the batch one; the script exits 1
+when it does not. Run from the root of a checkout:
 
     python tools/bench_scorer.py [--seed 1] [--queries 800] [--reps 3]
 """
@@ -27,6 +29,14 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import gen  # noqa: E402
 import workloads  # noqa: E402  (the benchmark's corpus and serving settings)
+
+
+def _md5(parsed: list, hits: dict) -> str:
+    """md5 of every (query, doc, repr(score)) of ``hits``, in query order."""
+    h = hashlib.md5()
+    for name, _q in parsed:
+        h.update(f"{name}:{[(d, repr(s)) for d, s in hits[name]]}\n".encode())
+    return h.hexdigest()
 
 
 def main() -> None:
@@ -68,14 +78,17 @@ def main() -> None:
             for lo in range(0, len(parsed), b):
                 hits.update(searcher.batch_search(parsed[lo : lo + b], k=workloads.K))
             best = min(best, time.perf_counter() - t0)
-            h = hashlib.md5()
-            for name, _q in parsed:
-                h.update(f"{name}:{[(d, repr(s)) for d, s in hits[name]]}\n".encode())
-            if digest is not None and h.hexdigest() != digest:
+            rep_digest = _md5(parsed, hits)
+            if digest is not None and rep_digest != digest:
                 raise SystemExit("results differ between repetitions")
-            digest = h.hexdigest()
+            digest = rep_digest
+        per_query = _md5(parsed, {name: searcher.search(q, k=workloads.K) for name, q in parsed})
         print(f"queries {len(qs)}  batch {b}  best of {args.reps}: {best:.3f} s  "
-              f"({len(qs) / best:.0f} q/s)  results md5 {digest}")
+              f"({len(qs) / best:.0f} q/s, {best * 1e3 * b / len(qs):.2f} ms per batch)  results md5 {digest}  "
+              f"per-query md5 {per_query}")
+        if per_query != digest:
+            print("batch_search and per-query search differ", file=sys.stderr)
+            sys.exit(1)
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
