@@ -1072,82 +1072,100 @@ class SegmentScorer:
         return int(docs.size)
 
 
-#: the most (query, docid) cells one batch table holds (8 MB of float64): a
-#: 32-query batch shares one table over segments of up to 32 768 docs, and a
-#: 1M-doc segment gets a table per query, the per-query dense path
-_BATCH_CELLS = 1 << 20
+#: top_k_batch drops its shared term scores once they hold this many bytes
+#: of docids and scores, so a batch holds at most this much more than one
+#: query's own postings. perfbench's 6 000-doc segments hold ~3 MB for a
+#: 32-query batch; a 1M-doc segment fills it after about 5 head terms of
+#: df 500 000 (12 bytes a posting)
+_BATCH_SCORE_BYTES = 32 << 20
+
+#: the most (query, docid) cells one batch table holds (2 MB of float64,
+#: ~5 MB with its ranking's temporaries): a 32-query batch shares one table
+#: over segments of up to 8 192 docs, and a segment of 262 144 docs or more
+#: gets one row, the per-query dense path
+_BATCH_CELLS = 1 << 18
 
 
 def top_k_batch(reader, stats: dict, queries: list, k: int, dels: np.ndarray) -> list[list[tuple[int, float]]]:
     """``SegmentScorer(reader, stats).top_k(q, k, exclude_local=dels)`` for
     each of ``queries``, bit for bit, with the batch's term work shared:
     the batch has one ``stats``, so each distinct (term, boost) is decoded
-    and scored once for every query that names it.
+    and scored once for every query that names it, up to
+    _BATCH_SCORE_BYTES of kept scores.
 
     A bare TermQuery, or a flat SHOULD disjunction of them (the shape WAND
-    takes), that auto mode keeps off WAND sums those shared scores; every
-    other query runs top_k. The sums are _disjunction_sum's: the same
-    float64 adds in clause order, a clause scoring 0 still a match. Queries
-    with at least one posting per _DENSE_SLOTS_PER_POSTING docs of the
-    reader share one (queries x doc_count) table, BooleanScorer's bucket
-    table for a whole batch, cut into sub-batches of at most _BATCH_CELLS
-    cells; the others take the sparse union."""
+    takes), that auto mode keeps off WAND ranks those shared scores; every
+    other query runs top_k. A disjunction is summed as _disjunction_sum
+    sums it: the same float64 adds in clause order, a clause scoring 0
+    still a match. One with at least one posting per
+    _DENSE_SLOTS_PER_POSTING docs of the reader adds into the next row of a
+    table of at most _BATCH_CELLS cells, BooleanScorer's bucket table for a
+    whole batch, whose rows are ranked together when it is full; the others
+    take the sparse union."""
     from .wand import is_wand_eligible
 
     scorer = SegmentScorer(reader, stats)
     n = reader.doc_count
+    # blocks of up to _TABLE_BLOCK docids, at least 8k of them per row
+    block = min(_TABLE_BLOCK, max(1, n // (8 * max(k, 1))))
+    width = -(-n // block) * block
     out: list = [[] for _ in queries]
     # term scores by (term, repr(boost)): a -0.0 boost does not score as 0.0
     scored: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-    dense = []  # (query position, clauses, bare term)
+    held = 0
+    acc = hit = None
+    table: list[int] = []  # the query position of each filled row
+
+    def rank():
+        a, h = acc[: len(table)], hit[: len(table)]
+        if dels.size:
+            a[:, dels] = 0.0
+            h[:, dels] = False
+        for i, hits in zip(table, _table_top_k(a, h, k, block, reader.doc_base)):
+            out[i] = hits
+        a.fill(0.0)
+        h.fill(False)
+        table.clear()
+
     for i, q in enumerate(queries):
         tw = is_wand_eligible(q)
         if tw is None or (not dels.size and auto_wand(tw, reader, stats["df"])):
             out[i] = scorer.top_k(q, k, exclude_local=dels)
             continue
+        if held > _BATCH_SCORE_BYTES:
+            scored.clear()
+            held = 0
         clauses = []
         for t, b in tw:
             key = (t, repr(b))
             if key not in scored:
                 scored[key] = scorer.score_term(TermQuery(term=t, boost=b))
-            if scored[key][0].size:
-                clauses.append(scored[key])
-        if not clauses:
-            continue
-        bare = isinstance(q, TermQuery)
-        if sum(d.size for d, _ in clauses) * _DENSE_SLOTS_PER_POSTING >= n:
-            dense.append((i, clauses, bare))
-            continue
-        if bare:
+                held += scored[key][0].nbytes + scored[key][1].nbytes
+            clauses.append(scored[key])
+        if isinstance(q, TermQuery):
             docs, scores = clauses[0]
+        elif sum(d.size for d, _ in clauses) * _DENSE_SLOTS_PER_POSTING >= n:
+            if acc is None:
+                rows = min(len(queries) - i, max(1, _BATCH_CELLS // max(width, 1)))
+                acc = np.zeros((rows, width), dtype=np.float64)
+                hit = np.zeros((rows, width), dtype=bool)
+            a, h = acc[len(table)], hit[len(table)]
+            for d, s in clauses:
+                a[d] += s
+                h[d] = True
+            table.append(i)
+            if len(table) == len(acc):
+                rank()
+            continue
         else:
-            docs, acc, _cnt = _disjunction_sum(clauses)
-            scores = acc.astype(np.float32)
+            docs, sums, _cnt = _disjunction_sum(clauses)
+            scores = sums.astype(np.float32)
         if dels.size:
             keep = ~np.isin(docs, dels, assume_unique=True)
             docs, scores = docs[keep], scores[keep]
         out[i] = top_hits(docs, scores, k, None, reader.doc_base)
-    # blocks of up to _TABLE_BLOCK docids, at least 8k of them per row
-    block = min(_TABLE_BLOCK, max(1, n // (8 * max(k, 1))))
-    width = -(-n // block) * block
-    rows = max(1, _BATCH_CELLS // max(width, 1))
-    for lo in range(0, len(dense), rows):
-        part = dense[lo : lo + rows]
-        acc = np.zeros((len(part), width), dtype=np.float64)
-        hit = np.zeros((len(part), width), dtype=bool)
-        for row, (_i, clauses, bare) in enumerate(part):
-            a, h = acc[row], hit[row]
-            for d, s in clauses:
-                if bare:  # the term's own float32 scores, -0.0 included
-                    a[d] = s
-                else:
-                    a[d] += s
-                h[d] = True
-        if dels.size:
-            acc[:, dels] = 0.0
-            hit[:, dels] = False
-        for (i, _c, _b), hits in zip(part, _table_top_k(acc, hit, k, block, reader.doc_base)):
-            out[i] = hits
+    if table:
+        rank()
     return out
 
 

@@ -25,8 +25,9 @@ The driver broadcasts (query, global stats, k), shards return top-k, the
 driver heap-merges. For batch evaluation of a query SET, `batch_search`
 amortizes one round-trip over many queries and one stats pass over their
 terms; each group then scores the batch at once per reader
-(``scorer.top_k_batch``: every distinct term scored once, the flat ORs
-summed in one shared bucket table), with the hits of one query at a time.
+(``scorer.top_k_batch``: every distinct term scored once, the dense flat
+ORs summed in a shared bucket table of bounded size), with the hits of one
+query at a time.
 
 At cluster scale the actor pool is sized to nodes x cores and each actor owns
 a disjoint group of segments. Global df comes from a per-field term table
@@ -211,8 +212,8 @@ class _SegmentGroup:
         """top_k of many queries under one stats dict in ONE actor
         round-trip — the bulk-serving path's amortization of per-call
         overhead. Each reader scores them as one batch (scorer.top_k_batch:
-        each distinct term scored once, one bucket table for the dense
-        queries); the per-reader hits of each query merge as in top_k, so
+        each distinct term scored once, one bucket table for the dense flat
+        ORs); the per-reader hits of each query merge as in top_k, so
         the results are top_k's."""
         merged: list[list[tuple[int, float]]] = [[] for _ in queries]
         for r, dels in zip(self.readers, self.deleted_local):

@@ -414,13 +414,18 @@ def test_batch_search_equals_search_on_every_layout(layouts, disjoint, tombstone
         _batch_equals_search(docs, name, s, 6000 + seed)
 
 
-def test_batch_search_one_row_per_table(layouts, disjoint, tombstoned, monkeypatch):
-    """A cell budget of one row per table (the per-query dense path that a
-    very large segment takes) gives the same hits. Only the in-process
-    layouts see the patched budget."""
+@pytest.mark.parametrize("cells", [1, 200])
+def test_batch_search_small_budgets(layouts, disjoint, tombstoned, monkeypatch, cells):
+    """Small memory budgets give the same hits: no bytes for shared term
+    scores (they are dropped before every query, as once a large segment's
+    pass the budget), and a batch table of one row per table (the
+    per-query dense path of a very large segment) or of 3 rows on the
+    60-doc segments, ranked whenever full. Only the in-process layouts see
+    the patched budgets."""
     from lucene_net_ray.pipelines import scorer
 
-    monkeypatch.setattr(scorer, "_BATCH_CELLS", 1)
+    monkeypatch.setattr(scorer, "_BATCH_SCORE_BYTES", 0)
+    monkeypatch.setattr(scorer, "_BATCH_CELLS", cells)
     for docs, name, s in _bulk_layouts(layouts, disjoint, tombstoned):
         if not s.use_actors:
             _batch_equals_search(docs, name, s, 6100)
