@@ -21,6 +21,10 @@ Tokenization is maximal munch over the rule set with rule-order tie-break
 
 The per-cluster lexer result is memoized (head identifiers repeat massively in
 source code), so the hot path in ``map_batches`` stages is dictionary lookups.
+An index build analyzes a shard's whole whitespace-token dictionary at once
+(``analyze_token_dictionary``): plain ASCII alphanumeric and dotted tokens are
+classified, lowercased and stop-filtered in Arrow, and only the rest reach the
+Python lexer.
 """
 
 from __future__ import annotations
@@ -28,12 +32,17 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
 __all__ = [
     "ENGLISH_STOP_WORDS",
     "DEFAULT_MAX_TOKEN_LENGTH",
     "tokenize_raw",
     "analyze",
     "analyze_with_positions",
+    "analyze_token_dictionary",
     "Analyzer",
 ]
 
@@ -565,3 +574,66 @@ class Analyzer:
             "max_token_length": self.max_token_length,
             "ascii_fold": self.fold,
         }
+
+
+# A whitespace token of ASCII letters and digits, or of such runs joined by
+# single dots, lexes as one token under the standard grammar: one ALPHANUM,
+# or one HOST (it spans the whole token and wins every tie; the ACRONYM forms
+# that drop their dots need a trailing dot). Its term is its lowercased text
+# (ASCII folding leaves it as it is) unless that is a stop word or the token
+# is overlong, and it consumes one position either way.
+_ARROW_TOKEN = r"^[A-Za-z0-9]+(?:\.[A-Za-z0-9]+)*$"
+
+
+def analyze_token_dictionary(
+    analyzer: Analyzer, tokens: pa.Array
+) -> tuple[np.ndarray, pa.Array, np.ndarray, np.ndarray]:
+    """``analyzer.analyze_positions`` over a dictionary of whitespace tokens,
+    as one CSR: (offsets, terms, relative positions, positions consumed).
+    Token i yields ``terms[offsets[i]:offsets[i + 1]]`` at the matching
+    relative positions and consumes ``consumed[i]`` positions.
+
+    Under the standard chain (kind 'standard': no stemmer, no language case
+    fold) the tokens of ``_ARROW_TOKEN`` are lowercased, stop-filtered and
+    length-filtered in Arrow; every other token, and every token of another
+    kind, goes through ``analyze_positions`` one at a time."""
+    n = len(tokens)
+    if analyzer.kind == "standard":
+        fast = pc.match_substring_regex(tokens, _ARROW_TOKEN).to_numpy(zero_copy_only=False)
+    else:
+        fast = np.zeros(n, dtype=bool)
+    fast_idx = np.flatnonzero(fast)
+    slow_idx = np.flatnonzero(~fast)
+    lowered = pc.ascii_lower(tokens.take(fast_idx))
+    stops = pa.array(sorted(analyzer.stop_words), type=lowered.type)
+    keep = pc.invert(pc.or_(
+        pc.greater(pc.binary_length(lowered), analyzer.max_token_length),
+        pc.is_in(lowered, value_set=stops),
+    ))
+    kept = keep.to_numpy(zero_copy_only=False)
+
+    counts = np.zeros(n, dtype=np.int64)
+    counts[fast_idx] = kept
+    consumed = np.ones(n, dtype=np.int64)
+    slow_terms: list[str] = []
+    slow_rels: list[int] = []
+    for i, tok in zip(slow_idx.tolist(), tokens.take(slow_idx).to_pylist()):
+        terms, rels, consumed[i] = analyzer.analyze_positions(tok)
+        counts[i] = len(terms)
+        slow_terms.extend(terms)
+        slow_rels.extend(rels)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+
+    # CSR slot of every produced term: a kept Arrow token's one term sits at
+    # its token's offset, a Python token's terms run on from its offset
+    slow_counts = counts[slow_idx]
+    slow_first = np.cumsum(slow_counts) - slow_counts
+    slow_dest = np.repeat(offsets[slow_idx] - slow_first, slow_counts) + np.arange(len(slow_terms))
+    dest = np.concatenate((offsets[fast_idx[kept]], slow_dest))
+    src = np.empty(dest.size, dtype=np.int64)
+    src[dest] = np.arange(dest.size)
+    values = pa.concat_arrays([lowered.filter(keep), pa.array(slow_terms, type=lowered.type)])
+    rels = np.zeros(dest.size, dtype=np.int64)
+    rels[slow_dest] = slow_rels
+    return offsets, values.take(src), rels, consumed

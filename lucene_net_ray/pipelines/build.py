@@ -45,9 +45,11 @@ def _build_segment_task(
     """Stateless map_batches task: each input row describes one shard.
 
     The build is partition-private (DWPT analog) so plain tasks beat an actor
-    pool here: no per-stage actor startup, and the tokenizer's module-level
-    cluster memo cache persists across tasks within a Ray worker process
-    anyway. Analyzer construction is microseconds.
+    pool here: no per-stage actor startup, and a task keeps no state worth
+    an actor. Each shard's token dictionary is analyzed in Arrow
+    (``analyze_token_dictionary``); only the few tokens outside its class
+    reach the Python lexer, whose module-level memo caches outlive a task
+    within a Ray worker process. Analyzer construction is microseconds.
     """
     # each task is scheduled at num_cpus=1 — pyarrow's default per-process
     # thread pool (= all cores) would oversubscribe the node N-fold across

@@ -13,13 +13,17 @@ On-disk layout (one directory per segment):
   docs.parquet     one row per doc in local docID order: global doc_id, norm
                    byte, field length, content sha256, stored id columns
   meta.json        doc_base, doc_count, sum_ttf, term_count, lineage, metrics
+                   (build_sec and its layers analysis_sec / invert_sec /
+                   write_sec)
 
 The inversion is allocation-light and vectorized: Arrow splits whitespace
-tokens (contiguous buffers), the Python analyzer runs only on the UNIQUE
-whitespace tokens of the shard (dictionary-encoded, memoized across tasks),
-and all per-occurrence work — term-id expansion, (term, doc[, position])
-sorting, tf counting, delta/vByte/block math — is integer numpy (reduceat
-over per-term boundaries). A doc-at-a-time fallback path covers analyzers
+tokens (contiguous buffers) and analyzes the shard's UNIQUE whitespace tokens
+as one dictionary; under the standard chain only the tokens that are not
+plain ASCII alphanumeric or dotted runs reach the Python analyzer (memoized
+across tasks). Term ids are vocabulary ranks, and all per-occurrence work —
+term-id expansion, (term, doc[, position]) sorting, tf counting,
+delta/vByte/block math — is integer numpy (reduceat over per-term
+boundaries). A doc-at-a-time fallback path covers analyzers
 that cannot split on whitespace (keyword); both paths are asserted
 byte-identical by a hypothesis property test.
 """
@@ -38,7 +42,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions import codec
-from ..functions.analysis import Analyzer
+from ..functions.analysis import Analyzer, analyze_token_dictionary
 from ..functions.norms import encode_norm_array
 
 BLOCK_SIZE = codec.BLOCK_SIZE
@@ -180,11 +184,13 @@ def build_segment(
     pos_offset_cols = None
     payload_cols = None
     # --- analysis + inversion, allocation-light ---------------------------
-    # Whitespace pre-split happens in Arrow (contiguous buffers); the Python
-    # analyzer touches only the UNIQUE whitespace tokens (dictionary-encoded,
-    # memoized across tasks), and everything per-occurrence is integer numpy.
-    # Tokens never span whitespace in the grammar, so analyzing per
-    # whitespace-token is exactly analyzing the document.
+    # Whitespace pre-split happens in Arrow (contiguous buffers) and the
+    # shard's UNIQUE whitespace tokens are analyzed as one dictionary
+    # (analyze_token_dictionary): ASCII alphanumeric and dotted tokens in
+    # Arrow, only the rest through the Python analyzer (memoized across
+    # tasks). Everything per-occurrence is integer numpy. Tokens never span
+    # whitespace in the grammar, so analyzing per whitespace-token is exactly
+    # analyzing the document.
     if payload_delimiter is not None and index_options not in ("positions", "offsets"):
         raise ValueError("payload_delimiter requires index_options='positions' or 'offsets'")
     if analyzer.kind not in ("keyword", "chain", "ngram", "pattern", "wikipedia") and n_docs:
@@ -195,7 +201,7 @@ def build_segment(
         if isinstance(denc, pa.ChunkedArray):
             denc = denc.combine_chunks()
         idx = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        uniq_ws = denc.dictionary.to_pylist()
+        uniq_ws = denc.dictionary
         with_pos = index_options in ("positions", "offsets")
         # DelimitedPayloadTokenFilter analog (reference
         # Analysis/Payloads/DelimitedPayloadTokenFilter.cs:28 + FloatEncoder):
@@ -206,30 +212,28 @@ def build_segment(
         # documented deviation: we treat it as payload-less).
         tok_payload = None
         if payload_delimiter is not None:
-            tok_payload = np.full(len(uniq_ws), np.nan, dtype=np.float32)
-            for u_i, u in enumerate(uniq_ws):
+            stripped = uniq_ws.to_pylist()
+            tok_payload = np.full(len(stripped), np.nan, dtype=np.float32)
+            for u_i, u in enumerate(stripped):
                 head, sep, tail = u.rpartition(payload_delimiter)
                 if sep:
                     try:
                         tok_payload[u_i] = np.float32(tail)
-                        uniq_ws[u_i] = head
+                        stripped[u_i] = head
                     except ValueError:
                         pass
-        # per-unique-token analysis -> CSR of term-ids (+ relative positions)
-        term_id: dict[str, int] = {}
-        uniq_vals: list[int] = []
-        uniq_rels: list[int] = []
-        uniq_offs = np.zeros(len(uniq_ws) + 1, dtype=np.int64)
-        n_raw = np.zeros(len(uniq_ws), dtype=np.int64)
-        for u_i, u in enumerate(uniq_ws):
-            terms, rels, consumed = analyzer.analyze_positions(u)
-            for t, rp in zip(terms, rels):
-                uniq_vals.append(term_id.setdefault(t, len(term_id)))
-                uniq_rels.append(rp)
-            n_raw[u_i] = consumed
-            uniq_offs[u_i + 1] = len(uniq_vals)
-        uniq_vals_np = np.asarray(uniq_vals, dtype=np.int64)
-        uniq_rels_np = np.asarray(uniq_rels, dtype=np.int64)
+            uniq_ws = pa.array(stripped, type=pa.string())
+        # per-unique-token analysis -> CSR of term values (+ relative
+        # positions); a term's id is its rank in the vocabulary, which is
+        # sorted in UTF-8 byte order (= Python str order)
+        uniq_offs, uniq_term_vals, uniq_rels_np, n_raw = analyze_token_dictionary(analyzer, uniq_ws)
+        tenc = uniq_term_vals.dictionary_encode()
+        vocab_order = pc.sort_indices(tenc.dictionary).to_numpy()
+        rank_of_id = np.empty(vocab_order.size, dtype=np.int64)
+        rank_of_id[vocab_order] = np.arange(vocab_order.size)
+        uniq_vals_np = rank_of_id[tenc.indices.to_numpy(zero_copy_only=False)]
+        uniq_terms = tenc.dictionary.take(vocab_order).cast(pa.string())
+        t_analysis = time.perf_counter()
         uniq_lens = np.diff(uniq_offs)
         # expand: per occurrence of unique token u, its term-id run
         occ_lens = uniq_lens[idx]
@@ -259,17 +263,6 @@ def build_segment(
         flat_doc_idx = _expand(doc_of_ws)
         field_lens = np.bincount(flat_doc_idx, minlength=n_docs).astype(np.int64)
 
-        n_terms_all = len(term_id)
-        # term ids were assigned in first-seen order; remap to UTF-8 order
-        id_to_term = np.empty(max(n_terms_all, 1), dtype=object)
-        for t, i in term_id.items():
-            id_to_term[i] = t
-        id_to_term = id_to_term[:n_terms_all]
-        sort_perm = np.argsort(id_to_term, kind="stable")  # python str order == UTF-8 byte order
-        rank_of_id = np.empty(n_terms_all, dtype=np.int64)
-        rank_of_id[sort_perm] = np.arange(n_terms_all)
-        uniq_terms = pa.array(id_to_term[sort_perm], type=pa.string())
-
         pos_offset_cols = None
         if with_pos and total_terms:
             # absolute position = per-doc cumulative raw-token base + relative
@@ -280,9 +273,8 @@ def build_segment(
             doc_start_vals = total_cum[safe_starts] if total_cum.size else np.zeros(n_docs, dtype=np.int64)
             base_occ = total_cum - np.repeat(doc_start_vals, ws_counts)
             flat_positions = _expand(base_occ) + uniq_rels_np[src]
-            ranked_all = rank_of_id[flat_term_ids]
-            order = np.lexsort((flat_positions, flat_doc_idx, ranked_all))
-            r_sorted = ranked_all[order]
+            order = np.lexsort((flat_positions, flat_doc_idx, flat_term_ids))
+            r_sorted = flat_term_ids[order]
             d_sorted = flat_doc_idx[order]
             p_sorted = flat_positions[order]
             # run-length boundaries of (term, doc) pairs -> postings + tfs
@@ -338,7 +330,7 @@ def build_segment(
         else:
             # (term, doc) -> tf via one integer sort: key = term_id*n_docs + doc
             if total_terms:
-                key = rank_of_id[flat_term_ids] * n_docs + flat_doc_idx
+                key = flat_term_ids * n_docs + flat_doc_idx
                 uniq_key, tfs_sorted = np.unique(key, return_counts=True)
                 tfs_sorted = tfs_sorted.astype(np.int64)
                 codes = uniq_key // n_docs
@@ -361,6 +353,7 @@ def build_segment(
         field_lens = np.array([len(t) for t in token_lists], dtype=np.int64)
         flat_tokens = [tok for toks in token_lists for tok in toks]
         doc_idx = np.repeat(np.arange(n_docs, dtype=np.int64), field_lens)
+        t_analysis = time.perf_counter()
         if flat_tokens:
             pairs = pa.table(
                 {"term": pa.array(flat_tokens, type=pa.string()), "doc": pa.array(doc_idx)}
@@ -380,6 +373,7 @@ def build_segment(
             docs_sorted = np.empty(0, dtype=np.int64)
             tfs_sorted = np.empty(0, dtype=np.int64)
         n_post = codes.size
+    t_invert = time.perf_counter()
 
     # per-row sha256 straight from the Arrow utf8 buffer (memoryview slices
     # — no Python-string materialization of the corpus shard)
@@ -451,6 +445,7 @@ def build_segment(
         if col in table.column_names:
             docs_cols[col] = table.column(col)
     pq.write_table(pa.table(docs_cols), os.path.join(tmp_dir, "docs.parquet"))
+    t_write = time.perf_counter()
 
     meta = {
         "seg_id": seg_id,
@@ -466,8 +461,15 @@ def build_segment(
         "store_term_vectors": store_term_vectors,
         "payload_delimiter": payload_delimiter,
         "lineage": lineage or {},
+        # build layers: analysis (ws split + token dictionary analysis + term
+        # ranks), invert (postings, positions, offsets, payloads) and write
+        # (sha256, norms, vByte encode, parquet files); they sum to build_sec
+        # up to rounding
         "metrics": {
-            "build_sec": round(time.perf_counter() - t0, 4),
+            "build_sec": round(t_write - t0, 4),
+            "analysis_sec": round(t_analysis - t0, 4),
+            "invert_sec": round(t_invert - t_analysis, 4),
+            "write_sec": round(t_write - t_invert, 4),
             "tokens": int(field_lens.sum()),
         },
         "analyzer": analyzer.config(),

@@ -149,3 +149,66 @@ def test_analyzer_kinds():
     assert Analyzer("whitespace")("The quick FOX") == ["The", "quick", "FOX"]
     assert Analyzer("simple")("Foo3Bar baz") == ["foo", "bar", "baz"]
     assert Analyzer("keyword")("The quick FOX") == ["The quick FOX"]
+
+
+# --- token-dictionary analysis (the build's bulk path) vs analyze_positions
+DICT_TOKENS = [
+    "The", "AND", "a", "tHe", "IS", "it", "foo", "Foo", "x", "0", "123", "007", "x86",
+    "a" * 255, "a" * 256, "a." * 127 + "a", "a." * 127 + "ab", "abcd", "abcde", "a.bc", "a.bcd",
+    "", "_", "foo_bar", "x86_64", "__init__", "O'Neil's", "don't",
+    "U.S.A", "U.S.A.", "u.s.a", "a.b.", ".a", "a.", "a..b", "1.2-a", "The.And", "foo.THE",
+    "System.IO.TextReader", "org.chea.di", "dev@example.com", "www.example.com",
+    "127.0.0.1", "10.0.0.255", "İstanbul", "straße", "STRASSE", "caf\u00e9", "cafe\u0301",
+    "e\u0301", "\u0301", "ภาษาไทย", "日本語", "テスト", "１２３", "Ａｂｃ", "x|1.5", "AT&T", "(paren)",
+]
+DICT_ANALYZERS = {
+    "default": Analyzer(),
+    "no_stops": Analyzer(stop_words=None),
+    "max4": Analyzer(max_token_length=4),
+    "dotted_stops": Analyzer(stop_words=frozenset({"foo.the", "x86", "a"})),
+    "fold": Analyzer(ascii_fold=True),
+    "english": Analyzer(kind="english"),
+    "whitespace": Analyzer(kind="whitespace"),
+    "simple": Analyzer(kind="simple"),
+}
+
+
+def _per_token_csr(analyzer, tokens):
+    offsets, terms, rels, consumed = [0], [], [], []
+    for tok in tokens:
+        ts, rs, c = analyzer.analyze_positions(tok)
+        terms.extend(ts)
+        rels.extend(rs)
+        consumed.append(c)
+        offsets.append(len(terms))
+    return offsets, terms, rels, consumed
+
+
+def _dictionary_csr(analyzer, tokens):
+    import pyarrow as pa
+
+    offsets, terms, rels, consumed = an.analyze_token_dictionary(analyzer, pa.array(tokens, type=pa.string()))
+    return offsets.tolist(), terms.to_pylist(), rels.tolist(), consumed.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(DICT_ANALYZERS))
+def test_token_dictionary_equals_per_token_path(name, monkeypatch):
+    analyzer = DICT_ANALYZERS[name]
+    expected = _per_token_csr(analyzer, DICT_TOKENS)
+    seen = []
+    per_token = analyzer.analyze_positions
+    monkeypatch.setattr(analyzer, "analyze_positions", lambda t: seen.append(t) or per_token(t))
+    assert _dictionary_csr(analyzer, DICT_TOKENS) == expected
+    arrow_class = re.compile(an._ARROW_TOKEN)
+    if analyzer.kind == "standard":  # the Python lexer sees only the tokens outside the class
+        assert seen == [t for t in DICT_TOKENS if not arrow_class.match(t)]
+        assert "org.chea.di" not in seen and "x86_64" in seen
+    else:
+        assert seen == DICT_TOKENS
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet=list("aZ09._'-@&İßé日Ａ\u0301"), max_size=10), max_size=12))
+def test_token_dictionary_equals_per_token_path_random(tokens):
+    for analyzer in (DICT_ANALYZERS["default"], DICT_ANALYZERS["max4"]):
+        assert _dictionary_csr(analyzer, tokens) == _per_token_csr(analyzer, tokens)

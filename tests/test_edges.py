@@ -87,39 +87,76 @@ def test_random_corpora_engine_equals_oracle(tmp_path_factory, docs, qsel):
     assert s.count(q) == oracle.count(q)
 
 
-# --- fast (Arrow ws-split + unique-token memo) vs slow (per-doc analyze)
-# build-path equivalence: the invariant whose CJK violation was a real bug
+# --- fast (Arrow ws-split + token-dictionary analysis) vs slow (per-doc
+# analyze) build-path equivalence: the invariant whose CJK violation was a
+# real bug. The vocabulary mixes tokens the dictionary path analyzes in Arrow
+# with tokens only the Python lexer can, so each doc exercises both.
 
-GNARLY = ["foo", "don't", "U.S.A.", "x86_64", "a.b.c", "日本", "テスト", "the",
-          "(paren)", "semi;colon", "dash-ed", "", "café", "x" * 260, "1.2-a"]
+GNARLY = ["foo", "don't", "U.S.A.", "U.S.A", "x86_64", "a.b.c", "日本", "テスト", "the", "The",
+          "AND", "(paren)", "semi;colon", "dash-ed", "", "café", "x" * 260, "1.2-a", "007",
+          "a" * 255, "a" * 256, "a." * 127 + "ab", "foo_bar", "O'Neil's", "dev@example.com",
+          "org.chea.di", "127.0.0.1", "İstanbul", "straße", "ภาษาไทย", "cafe\u0301", "１２３",
+          "foo|0.5", "The|2", "U.S.A|1.5", "x|y", "日本|3"]
+
+
+def _strip_payloads(doc: str, delimiter: str) -> str:
+    """``doc`` with each whitespace token's float payload suffix removed
+    (the DelimitedPayloadTokenFilter rule of ``build_segment``)."""
+    out = []
+    for tok in doc.split(" "):
+        head, sep, tail = tok.rpartition(delimiter)
+        if sep:
+            try:
+                float(tail)
+                tok = head
+            except ValueError:
+                pass
+        out.append(tok)
+    return " ".join(out)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.lists(st.sampled_from(GNARLY), min_size=0, max_size=8).map(" ".join),
                 min_size=1, max_size=10))
 def test_fast_build_path_equals_analyze(tmp_path_factory, docs):
+    from collections import Counter, defaultdict
+
     import pyarrow.parquet as pq
 
-    from lucene_net_ray.functions.analysis import analyze
+    from lucene_net_ray.functions.analysis import analyze, analyze_with_positions
     from lucene_net_ray.state.segment import SegmentReader, build_segment
 
-    td = str(tmp_path_factory.mktemp("fastslow"))
-    build_segment(pa.table({"content": docs}), seg_id=0, doc_base=0, out_dir=td,
-                  index_options="positions")
-    r = SegmentReader(td + "/seg000000")
-    docs_tbl = pq.read_table(td + "/seg000000/docs.parquet")
-    # field lengths match the reference analyzer chain doc by doc
-    for i, d in enumerate(docs):
-        assert docs_tbl.column("field_len")[i].as_py() == len(analyze(d)), d
-    # postings reconstruct each doc's term multiset
-    from collections import Counter
-    per_doc: dict[int, Counter] = {i: Counter() for i in range(len(docs))}
-    for t in r.terms:
-        dids, tfs = r.postings(str(t))
-        for did, tf in zip(dids.tolist(), tfs.tolist()):
-            per_doc[did][str(t)] = tf
-    for i, d in enumerate(docs):
-        assert per_doc[i] == Counter(analyze(d)), d
+    builds = [("freqs", None), ("positions", None), ("offsets", None), ("positions", "|")]
+    for options, delimiter in builds:
+        td = str(tmp_path_factory.mktemp("fastslow"))
+        build_segment(pa.table({"content": docs}), seg_id=0, doc_base=0, out_dir=td,
+                      index_options=options, payload_delimiter=delimiter)
+        texts = [_strip_payloads(d, delimiter) if delimiter else d for d in docs]
+        r = SegmentReader(td + "/seg000000")
+        docs_tbl = pq.read_table(td + "/seg000000/docs.parquet")
+        # field lengths match the reference analyzer chain doc by doc
+        for i, d in enumerate(texts):
+            assert docs_tbl.column("field_len")[i].as_py() == len(analyze(d)), (options, d)
+        # postings reconstruct each doc's term multiset, and positions each
+        # term's positions (a kept term sits at the index of its raw token)
+        per_doc: dict[int, Counter] = {i: Counter() for i in range(len(docs))}
+        pos_doc: dict[int, dict] = {i: defaultdict(list) for i in range(len(docs))}
+        for t in r.terms:
+            dids, tfs = r.postings(str(t))
+            for did, tf in zip(dids.tolist(), tfs.tolist()):
+                per_doc[did][str(t)] = tf
+            if options != "freqs":
+                pdids, _tfs, flat, occ = r.positions(str(t))
+                for j, did in enumerate(pdids.tolist()):
+                    pos_doc[did][str(t)] = flat[occ[j] : occ[j + 1]].tolist()
+        for i, d in enumerate(texts):
+            assert per_doc[i] == Counter(analyze(d)), (options, d)
+            if options != "freqs":
+                terms, incrs = analyze_with_positions(d)
+                want = defaultdict(list)
+                for term, pos in zip(terms, np.cumsum(incrs) - 1):
+                    want[term].append(int(pos))
+                assert pos_doc[i] == want, (options, d)
 
 
 def test_whitespace_analyzer_no_empty_terms(tmp_path):
